@@ -8,32 +8,8 @@
 //                num_disks=10 hot_fraction_db=0.2 hot_access_prob=0.8
 //   (one shell line; shown wrapped here)
 //
-// Recognized keys: every Table 1 workload parameter (db_size, tran_size,
-// min_size, max_size, write_prob, num_terms, mpl, ext_think_time,
-// int_think_time, obj_io_ms, obj_cpu_ms, cc_cpu_ms, hot_fraction_db,
-// hot_access_prob, read_only_fraction) plus:
-//   algorithms       comma list (default: the paper's three)
-//   mpls             comma list (default: the paper's sweep)
-//   num_cpus/num_disks or infinite=true
-//   restart_delay    none | fixed | adaptive (default: per-algorithm)
-//   fixed_delay_s    mean of the fixed delay
-//   victim           youngest | oldest | fewest_locks
-//   source           closed | open;  arrival_rate (tps, for open)
-//   x_lock_on_read_intent  true|false
-//   audit            true|false (or --audit): runtime invariant auditing +
-//                    replay digest (docs/AUDIT.md); any detected violation
-//                    fails the run with a nonzero exit
-//   obs              true|false: per-phase response breakdown + stats
-//                    registry (docs/OBSERVABILITY.md)
-//   trace            directory for Perfetto trace.json files (implies obs)
-//   sample_interval  time-series sampling period in simulated seconds
-//                    (implies obs; CSVs land next to csv=, or in ".")
-//   faults           fault-injection plan ("journal.kill@hit:2;seed=7" —
-//                    docs/FAULTS.md; CCSIM_FAULTS overrides)
-//   disk_fault       simulated fault window on every disk, as
-//                    kind:start_s:end_s with kind stall|outage
-//   cpu_fault        same window syntax, on the CPU pool
-//   seed, batches, batch_seconds, warmup_seconds, csv=<path>, title=<text>
+// `run_config --help` lists every recognized key (KnownKeys() below is the
+// one list).
 //
 // --trace[=path] streams the transaction lifecycle trace (one line per
 // submit/block/resume/restart/commit) to stderr or to `path` while the sweep
@@ -42,7 +18,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,53 +31,109 @@
 
 namespace {
 
-constexpr char kUsage[] =
-    "usage: run_config [<config-file> | key=value ...] [--audit] [--help]\n"
-    "\n"
-    "Runs the sweep described by a config file, or by inline key=value\n"
-    "overrides. Recognized keys:\n"
-    "  workload:   db_size tran_size min_size max_size write_prob num_terms\n"
-    "              mpl ext_think_time int_think_time obj_io_ms obj_cpu_ms\n"
-    "              cc_cpu_ms buffer_hit_prob log_io_ms hot_fraction_db\n"
-    "              hot_access_prob read_only_fraction\n"
-    "  resources:  num_cpus num_disks infinite\n"
-    "  algorithm:  algorithms mpls restart_delay fixed_delay_s victim\n"
-    "              source arrival_rate x_lock_on_read_intent audit\n"
-    "  run:        seed batches batch_seconds warmup_seconds csv title\n"
-    "              percentiles columns obs trace sample_interval\n"
-    "  faults:     faults (injection plan, docs/FAULTS.md), disk_fault and\n"
-    "              cpu_fault (simulated windows, kind:start_s:end_s with\n"
-    "              kind stall|outage)\n"
-    "\n"
-    "Flags: --audit (same as audit=true), --faults=<plan> (same as\n"
-    "faults=<plan>), --columns=<list> (same as columns=<list>: report table\n"
-    "column groups — response, percentiles, ratios, disk, cpu, mpl, phases,\n"
-    "blame, or all; a typo is a hard error; CCSIM_REPORT_COLUMNS, if set,\n"
-    "overrides), --trace[=path] (stream the transaction lifecycle trace\n"
-    "to stderr or to <path>; forces jobs=1), --help.\n"
-    "Environment: CCSIM_JOBS, CCSIM_JOURNAL, CCSIM_MAX_EVENTS,\n"
-    "CCSIM_POINT_TIMEOUT_SECONDS, CCSIM_OBS, CCSIM_SAMPLE_SECONDS,\n"
-    "CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS, CCSIM_REPORT_COLUMNS,\n"
-    "CCSIM_FAULTS and friends (docs/EXECUTION.md, docs/OBSERVABILITY.md,\n"
-    "docs/FAULTS.md).\n";
+/// A config key and the usage group it is listed under; `hint`, when set,
+/// spells out the accepted values.
+struct KnownKey {
+  const char* name;
+  const char* group;
+  const char* hint = nullptr;
+};
 
-/// Every key this driver or WorkloadParams::ApplyConfig understands; any
-/// other key is a spelling mistake that would otherwise silently change the
-/// experiment being run.
-const std::set<std::string>& KnownKeys() {
-  static const std::set<std::string> keys = {
-      "db_size", "tran_size", "min_size", "max_size", "write_prob",
-      "num_terms", "mpl", "ext_think_time", "int_think_time", "obj_io_ms",
-      "obj_cpu_ms", "cc_cpu_ms", "buffer_hit_prob", "log_io_ms",
-      "hot_fraction_db", "hot_access_prob", "read_only_fraction",
-      "num_cpus", "num_disks", "infinite",
-      "algorithms", "mpls", "restart_delay", "fixed_delay_s", "victim",
-      "source", "arrival_rate", "x_lock_on_read_intent", "audit",
-      "seed", "batches", "batch_seconds", "warmup_seconds", "csv", "title",
-      "percentiles", "columns", "obs", "trace", "sample_interval",
-      "faults", "disk_fault", "cpu_fault",
+/// Every key run_config or WorkloadParams::ApplyConfig understands, in
+/// usage order; any other key is a spelling mistake that would otherwise
+/// silently change the experiment being run.
+const std::vector<KnownKey>& KnownKeys() {
+  static const std::vector<KnownKey> keys = {
+      {"db_size", "workload"}, {"tran_size", "workload"},
+      {"min_size", "workload"}, {"max_size", "workload"},
+      {"write_prob", "workload"}, {"num_terms", "workload"},
+      {"mpl", "workload"}, {"ext_think_time", "workload"},
+      {"int_think_time", "workload"}, {"obj_io_ms", "workload"},
+      {"obj_cpu_ms", "workload"}, {"cc_cpu_ms", "workload"},
+      {"buffer_hit_prob", "workload"}, {"log_io_ms", "workload"},
+      {"hot_fraction_db", "workload"}, {"hot_access_prob", "workload"},
+      {"read_only_fraction", "workload"},
+      {"num_cpus", "resources"}, {"num_disks", "resources"},
+      {"infinite", "resources", "true|false"},
+      {"algorithms", "algorithm", "a,b,..."}, {"mpls", "algorithm", "n,m,..."},
+      {"restart_delay", "algorithm", "none|fixed|adaptive"},
+      {"fixed_delay_s", "algorithm"},
+      {"victim", "algorithm", "youngest|oldest|fewest_locks"},
+      {"source", "algorithm", "closed|open"}, {"arrival_rate", "algorithm"},
+      {"x_lock_on_read_intent", "algorithm", "true|false"},
+      {"audit", "algorithm", "true|false"},
+      {"seed", "run"}, {"batches", "run"}, {"batch_seconds", "run"},
+      {"warmup_seconds", "run"}, {"csv", "run", "path"}, {"title", "run"},
+      {"percentiles", "run", "true|false"}, {"columns", "run", "groups"},
+      {"obs", "run", "true|false"}, {"trace", "run", "dir"},
+      {"sample_interval", "run", "seconds"},
+      {"faults", "faults", "plan"},
+      {"disk_fault", "faults", "kind:start_s:end_s"},
+      {"cpu_fault", "faults", "kind:start_s:end_s"},
   };
   return keys;
+}
+
+bool IsKnownKey(const std::string& key) {
+  for (const KnownKey& known : KnownKeys()) {
+    if (key == known.name) return true;
+  }
+  return false;
+}
+
+/// The usage text; its key section lists KnownKeys() by group.
+std::string Usage() {
+  std::string usage =
+      "usage: run_config [<config-file> | key=value ...] [--audit] [--help]\n"
+      "\n"
+      "Runs the sweep described by a config file, or by inline key=value\n"
+      "overrides. Recognized keys:\n";
+  std::string line;
+  const char* group = nullptr;
+  for (const KnownKey& key : KnownKeys()) {
+    std::string word = key.name;
+    if (key.hint != nullptr) word += std::string("=") + key.hint;
+    if (group == nullptr || std::string(group) != key.group) {
+      if (!line.empty()) usage += line + "\n";
+      group = key.group;
+      line = ccsim::StringPrintf("  %-12s%s", (std::string(group) + ":").c_str(),
+                                 word.c_str());
+    } else if (line.size() + 1 + word.size() > 76) {
+      usage += line + "\n";
+      line = std::string(14, ' ') + word;
+    } else {
+      line += " " + word;
+    }
+  }
+  usage += line + "\n";
+  usage +=
+      "\n"
+      "Workload keys are the paper's Table 1 parameters. audit=true enables\n"
+      "runtime invariant auditing and the replay digest (docs/AUDIT.md); a\n"
+      "violation fails the run. obs=true adds the per-phase response\n"
+      "breakdown and the stats registry; trace= (Perfetto trace directory)\n"
+      "and sample_interval= (time-series CSVs next to csv=, or in \".\")\n"
+      "imply it (docs/OBSERVABILITY.md). faults= installs a fault-injection\n"
+      "plan (docs/FAULTS.md; CCSIM_FAULTS overrides); disk_fault= and\n"
+      "cpu_fault= add simulated fault windows with kind stall|outage.\n"
+      "\n"
+      "Flags: --audit (same as audit=true), --faults=<plan> (same as\n"
+      "faults=<plan>), --columns=<list> (same as columns=<list>: report table\n"
+      "column groups, a typo is a hard error; CCSIM_REPORT_COLUMNS, if set,\n"
+      "overrides), --trace[=path] (stream the transaction lifecycle trace\n"
+      "to stderr or to <path>; forces jobs=1), --help.\n"
+      "Column groups:";
+  for (const ccsim::ColumnGroup& column_group : ccsim::ColumnGroups()) {
+    usage += std::string(" ") + column_group.name;
+  }
+  usage +=
+      " all.\n"
+      "Environment: CCSIM_JOBS, CCSIM_JOURNAL, CCSIM_MAX_EVENTS,\n"
+      "CCSIM_POINT_TIMEOUT_SECONDS, CCSIM_OBS, CCSIM_SAMPLE_SECONDS,\n"
+      "CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS, CCSIM_REPORT_COLUMNS,\n"
+      "CCSIM_FAULTS and friends (docs/EXECUTION.md, docs/OBSERVABILITY.md,\n"
+      "docs/FAULTS.md).\n";
+  return usage;
 }
 
 /// Parses a simulated fault window: kind:start_s:end_s (docs/FAULTS.md).
@@ -171,7 +202,7 @@ int main(int argc, char** argv) {
              args.end());
   for (std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
+      std::cout << Usage();
       return 0;
     }
     if (arg == "--audit") {
@@ -181,7 +212,7 @@ int main(int argc, char** argv) {
     } else if (ccsim::StartsWith(arg, "--columns=")) {
       arg = arg.substr(2);  // --columns=LIST is sugar for columns=LIST.
     } else if (ccsim::StartsWith(arg, "--")) {
-      std::cerr << "unknown flag: " << arg << "\n\n" << kUsage;
+      std::cerr << "unknown flag: " << arg << "\n\n" << Usage();
       return 2;
     }
   }
@@ -200,13 +231,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else if (!config.ParseArgs(args, &error)) {
-    std::cerr << error << "\n\n" << kUsage;
+    std::cerr << error << "\n\n" << Usage();
     return 2;
   }
 
   for (const auto& [key, value] : config.entries()) {
-    if (KnownKeys().count(key) == 0) {
-      std::cerr << "unknown key: " << key << "=" << value << "\n\n" << kUsage;
+    if (!IsKnownKey(key)) {
+      std::cerr << "unknown key: " << key << "=" << value << "\n\n" << Usage();
       return 2;
     }
   }

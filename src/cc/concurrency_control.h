@@ -27,6 +27,7 @@ struct CCStats {
   int64_t validation_failures = 0;   ///< Optimistic validation rejections.
   int64_t wounds = 0;                ///< Wound-wait wounds issued.
   int64_t timestamp_rejections = 0;  ///< T/O too-late read/write rejections.
+  bool operator==(const CCStats&) const = default;
 };
 
 /// Abstract concurrency control algorithm.

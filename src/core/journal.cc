@@ -4,16 +4,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "audit/digest.h"
+#include "core/report.h"
 #include "inject/fault.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace ccsim {
@@ -43,519 +45,96 @@ void FoldString(FnvDigest* digest, const std::string& value) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON writing. Minimal: objects, arrays, strings, numbers, booleans.
-// Doubles print with %.17g so they round-trip bit-exactly through strtod;
-// 64-bit integers print as *strings* because JSON numbers are doubles and
-// lose precision past 2^53 (seeds and digests use the full range).
+// Report (de)serialization, driven by the field tables (core/report.h).
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StringPrintf("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendField(std::string* out, const char* name, const std::string& value) {
-  AppendEscaped(out, name);
+/// Appends `"key":`, after a comma unless it opens an object.
+void AppendKey(std::string* out, std::string_view key) {
+  if (out->back() != '{') out->push_back(',');
+  json::AppendString(out, key);
   out->push_back(':');
-  AppendEscaped(out, value);
-  out->push_back(',');
 }
 
-void AppendField(std::string* out, const char* name, double value) {
-  AppendEscaped(out, name);
-  *out += StringPrintf(":%.17g,", value);
-}
-
-void AppendField(std::string* out, const char* name, int64_t value) {
-  AppendEscaped(out, name);
-  *out += StringPrintf(":%lld,", static_cast<long long>(value));
-}
-
-void AppendField(std::string* out, const char* name, bool value) {
-  AppendEscaped(out, name);
-  *out += value ? ":true," : ":false,";
-}
-
-void AppendU64Field(std::string* out, const char* name, uint64_t value) {
-  AppendEscaped(out, name);
-  *out += StringPrintf(":\"%llu\",", static_cast<unsigned long long>(value));
-}
-
-void CloseObject(std::string* out) {
-  if (out->back() == ',') out->back() = '}';
-  else out->push_back('}');
-}
-
-void AppendInterval(std::string* out, const char* name,
-                    const IntervalEstimate& estimate) {
-  AppendEscaped(out, name);
-  *out += ":{";
-  AppendField(out, "mean", estimate.mean);
-  AppendField(out, "half_width", estimate.half_width);
-  AppendField(out, "batches", static_cast<int64_t>(estimate.batches));
-  AppendField(out, "lag1", estimate.lag1_autocorrelation);
-  CloseObject(out);
-  out->push_back(',');
-}
-
-std::string SerializeReport(const MetricsReport& r) {
-  std::string out = "{";
-  AppendField(&out, "algorithm", r.algorithm);
-  AppendField(&out, "mpl", static_cast<int64_t>(r.mpl));
-  AppendInterval(&out, "throughput", r.throughput);
-  AppendInterval(&out, "response_mean", r.response_mean);
-  AppendField(&out, "response_stddev", r.response_stddev);
-  AppendField(&out, "response_p50", r.response_p50);
-  AppendField(&out, "response_p90", r.response_p90);
-  AppendField(&out, "response_p99", r.response_p99);
-  AppendField(&out, "response_max", r.response_max);
-  AppendInterval(&out, "block_ratio", r.block_ratio);
-  AppendInterval(&out, "restart_ratio", r.restart_ratio);
-  AppendInterval(&out, "disk_util_total", r.disk_util_total);
-  AppendInterval(&out, "disk_util_useful", r.disk_util_useful);
-  AppendInterval(&out, "cpu_util_total", r.cpu_util_total);
-  AppendInterval(&out, "cpu_util_useful", r.cpu_util_useful);
-  AppendInterval(&out, "log_util", r.log_util);
-  AppendField(&out, "avg_active_mpl", r.avg_active_mpl);
-  AppendField(&out, "commits", r.commits);
-  AppendField(&out, "restarts", r.restarts);
-  AppendField(&out, "blocks", r.blocks);
-  AppendField(&out, "measured_seconds", r.measured_seconds);
-  AppendField(&out, "batches", static_cast<int64_t>(r.batches));
-  out += "\"cc_stats\":{";
-  AppendField(&out, "deadlocks_detected", r.cc_stats.deadlocks_detected);
-  AppendField(&out, "deadlock_victims", r.cc_stats.deadlock_victims);
-  AppendField(&out, "lock_conflicts", r.cc_stats.lock_conflicts);
-  AppendField(&out, "validation_failures", r.cc_stats.validation_failures);
-  AppendField(&out, "wounds", r.cc_stats.wounds);
-  AppendField(&out, "timestamp_rejections", r.cc_stats.timestamp_rejections);
-  CloseObject(&out);
-  out.push_back(',');
-  AppendField(&out, "audited", r.audited);
-  AppendField(&out, "audit_violations", r.audit_violations);
-  AppendField(&out, "audit_checks", r.audit_checks);
-  AppendU64Field(&out, "replay_digest", r.replay_digest);
-  out += "\"phases\":{";
-  AppendField(&out, "collected", r.phases.collected);
-  AppendField(&out, "ready", r.phases.ready);
-  AppendField(&out, "cc_block", r.phases.cc_block);
-  AppendField(&out, "cpu", r.phases.cpu);
-  AppendField(&out, "disk", r.phases.disk);
-  AppendField(&out, "resource_wait", r.phases.resource_wait);
-  AppendField(&out, "think", r.phases.think);
-  AppendField(&out, "restart_delay", r.phases.restart_delay);
-  AppendField(&out, "wasted", r.phases.wasted);
-  AppendField(&out, "other", r.phases.other);
-  CloseObject(&out);
-  out.push_back(',');
-  out += "\"blame\":{";
-  AppendField(&out, "collected", r.blame.collected);
-  AppendField(&out, "wasted_us", r.blame.wasted_us);
-  AppendField(&out, "wasted_attributed_us", r.blame.wasted_attributed_us);
-  AppendField(&out, "wasted_unattributed_us", r.blame.wasted_unattributed_us);
-  AppendField(&out, "blocked_us", r.blame.blocked_us);
-  AppendField(&out, "blocked_attributed_us", r.blame.blocked_attributed_us);
-  AppendField(&out, "blocked_unattributed_us",
-              r.blame.blocked_unattributed_us);
-  AppendField(&out, "restarts_charged", r.blame.restarts_charged);
-  AppendField(&out, "blocks_charged", r.blame.blocks_charged);
-  AppendField(&out, "genealogy_max", r.blame.genealogy_max);
-  AppendField(&out, "genealogy_mean", r.blame.genealogy_mean);
-  AppendField(&out, "top_aborter", static_cast<int64_t>(r.blame.top_aborter));
-  AppendField(&out, "top_aborter_wasted_us", r.blame.top_aborter_wasted_us);
-  AppendField(&out, "top_holder", static_cast<int64_t>(r.blame.top_holder));
-  AppendField(&out, "top_holder_blocked_us", r.blame.top_holder_blocked_us);
-  CloseObject(&out);
-  out.push_back(',');
-  out += "\"per_class\":[";
-  for (const ClassMetrics& cls : r.per_class) {
-    out.push_back('{');
-    AppendField(&out, "name", cls.name);
-    AppendField(&out, "commits", cls.commits);
-    AppendField(&out, "restarts", cls.restarts);
-    AppendField(&out, "response_mean", cls.response_mean);
-    AppendField(&out, "response_stddev", cls.response_stddev);
-    AppendField(&out, "response_max", cls.response_max);
-    CloseObject(&out);
-    out.push_back(',');
-  }
-  if (out.back() == ',') out.back() = ']';
-  else out.push_back(']');
-  CloseObject(&out);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing. Just enough for the lines this file writes; any deviation
-// (including a line truncated by a mid-append kill) fails the line, which
-// the loader treats as "re-run that point".
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  std::string text;  // Raw number text, or string contents.
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view input) : input_(input) {}
-
-  bool Parse(JsonValue* out) {
-    bool ok = ParseValue(out);
-    SkipSpace();
-    return ok && pos_ == input_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < input_.size() && input_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= input_.size()) return false;
-    char c = input_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') return ParseString(out);
-    if (c == 't' || c == 'f') return ParseBoolLiteral(out);
-    if (c == 'n') return ParseNullLiteral(out);
-    return ParseNumber(out);
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    if (!Consume('{')) return false;
-    if (Consume('}')) return true;
-    for (;;) {
-      JsonValue key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace(std::move(key.text), std::move(value));
-      if (Consume('}')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    if (!Consume('[')) return false;
-    if (Consume(']')) return true;
-    for (;;) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
-      if (Consume(']')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool ParseString(JsonValue* out) {
-    if (!Consume('"')) return false;
-    out->kind = JsonValue::Kind::kString;
-    out->text.clear();
-    while (pos_ < input_.size()) {
-      char c = input_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->text.push_back(c);
-        continue;
+/// Appends the stored fields of `s` as one JSON object; a run of fields
+/// with the same non-empty `object` nests in that object.
+template <typename S>
+void WriteFields(std::string* out, const S& s,
+                 std::span<const FieldSpec<S>> fields) {
+  out->push_back('{');
+  std::string_view object;
+  for (const FieldSpec<S>& field : fields) {
+    if (field.key == nullptr) continue;
+    if (object != field.object) {
+      if (!object.empty()) out->push_back('}');
+      object = field.object;
+      if (!object.empty()) {
+        AppendKey(out, object);
+        out->push_back('{');
       }
-      if (pos_ >= input_.size()) return false;
-      char escaped = input_[pos_++];
-      switch (escaped) {
-        case '"': out->text.push_back('"'); break;
-        case '\\': out->text.push_back('\\'); break;
-        case '/': out->text.push_back('/'); break;
-        case 'n': out->text.push_back('\n'); break;
-        case 'r': out->text.push_back('\r'); break;
-        case 't': out->text.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > input_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = input_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
+    }
+    AppendKey(out, field.key);
+    std::visit(
+        [out](auto value) {
+          using P = decltype(value);  // A pointer, except for derived views.
+          if constexpr (std::is_same_v<P, std::string*>) {
+            json::AppendString(out, *value);
+          } else if constexpr (std::is_same_v<P, int*> ||
+                               std::is_same_v<P, int64_t*>) {
+            *out += std::to_string(*value);
+          } else if constexpr (std::is_same_v<P, uint64_t*>) {
+            json::AppendU64(out, *value);
+          } else if constexpr (std::is_same_v<P, double*>) {
+            json::AppendDouble(out, *value);
+          } else if constexpr (std::is_same_v<P, bool*>) {
+            *out += *value ? "true" : "false";
+          } else if constexpr (std::is_same_v<P, IntervalEstimate*>) {
+            WriteFields(out, *value, IntervalFields());
+          } else if constexpr (std::is_same_v<P, std::vector<ClassMetrics>*>) {
+            out->push_back('[');
+            for (const ClassMetrics& cls : *value) {
+              if (out->back() != '[') out->push_back(',');
+              WriteFields(out, cls, ClassFields());
+            }
+            out->push_back(']');
           }
-          if (code > 0x7f) return false;  // Writer only escapes ASCII controls.
-          out->text.push_back(static_cast<char>(code));
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // Unterminated.
+        },
+        field.Get(s));
   }
-
-  bool ParseBoolLiteral(JsonValue* out) {
-    SkipSpace();
-    out->kind = JsonValue::Kind::kBool;
-    if (input_.substr(pos_, 4) == "true") {
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (input_.substr(pos_, 5) == "false") {
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseNullLiteral(JsonValue* out) {
-    SkipSpace();
-    out->kind = JsonValue::Kind::kNull;
-    if (input_.substr(pos_, 4) == "null") {
-      pos_ += 4;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    SkipSpace();
-    out->kind = JsonValue::Kind::kNumber;
-    size_t start = pos_;
-    while (pos_ < input_.size() &&
-           (std::isdigit(static_cast<unsigned char>(input_[pos_])) ||
-            std::strchr("+-.eE", input_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->text = std::string(input_.substr(start, pos_ - start));
-    return true;
-  }
-
-  std::string_view input_;
-  size_t pos_ = 0;
-};
-
-// --- Typed extraction (each returns false on a missing/mistyped field) ---
-
-bool GetDouble(const JsonValue& object, const char* name, double* out) {
-  auto it = object.object.find(name);
-  if (it == object.object.end() ||
-      it->second.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  auto parsed = ParseDouble(it->second.text);
-  if (!parsed.has_value()) return false;
-  *out = *parsed;
-  return true;
+  if (!object.empty()) out->push_back('}');
+  out->push_back('}');
 }
 
-bool GetI64(const JsonValue& object, const char* name, int64_t* out) {
-  auto it = object.object.find(name);
-  if (it == object.object.end() ||
-      it->second.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  auto parsed = ParseInt(it->second.text);
-  if (!parsed.has_value()) return false;
-  *out = *parsed;
-  return true;
-}
-
-bool GetInt(const JsonValue& object, const char* name, int* out) {
-  int64_t wide = 0;
-  if (!GetI64(object, name, &wide)) return false;
-  *out = static_cast<int>(wide);
-  return true;
-}
-
-bool GetBool(const JsonValue& object, const char* name, bool* out) {
-  auto it = object.object.find(name);
-  if (it == object.object.end() || it->second.kind != JsonValue::Kind::kBool) {
-    return false;
-  }
-  *out = it->second.boolean;
-  return true;
-}
-
-bool GetString(const JsonValue& object, const char* name, std::string* out) {
-  auto it = object.object.find(name);
-  if (it == object.object.end() ||
-      it->second.kind != JsonValue::Kind::kString) {
-    return false;
-  }
-  *out = it->second.text;
-  return true;
-}
-
-/// Full-range u64 carried as a decimal string.
-bool GetU64String(const JsonValue& object, const char* name, uint64_t* out) {
-  std::string text;
-  if (!GetString(object, name, &text)) return false;
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-bool GetInterval(const JsonValue& object, const char* name,
-                 IntervalEstimate* out) {
-  auto it = object.object.find(name);
-  if (it == object.object.end() ||
-      it->second.kind != JsonValue::Kind::kObject) {
-    return false;
-  }
-  const JsonValue& interval = it->second;
-  return GetDouble(interval, "mean", &out->mean) &&
-         GetDouble(interval, "half_width", &out->half_width) &&
-         GetInt(interval, "batches", &out->batches) &&
-         GetDouble(interval, "lag1", &out->lag1_autocorrelation);
-}
-
-bool DeserializeReport(const JsonValue& object, MetricsReport* r) {
-  if (object.kind != JsonValue::Kind::kObject) return false;
-  bool ok = GetString(object, "algorithm", &r->algorithm) &&
-            GetInt(object, "mpl", &r->mpl) &&
-            GetInterval(object, "throughput", &r->throughput) &&
-            GetInterval(object, "response_mean", &r->response_mean) &&
-            GetDouble(object, "response_stddev", &r->response_stddev) &&
-            GetDouble(object, "response_p50", &r->response_p50) &&
-            GetDouble(object, "response_p90", &r->response_p90) &&
-            GetDouble(object, "response_p99", &r->response_p99) &&
-            GetDouble(object, "response_max", &r->response_max) &&
-            GetInterval(object, "block_ratio", &r->block_ratio) &&
-            GetInterval(object, "restart_ratio", &r->restart_ratio) &&
-            GetInterval(object, "disk_util_total", &r->disk_util_total) &&
-            GetInterval(object, "disk_util_useful", &r->disk_util_useful) &&
-            GetInterval(object, "cpu_util_total", &r->cpu_util_total) &&
-            GetInterval(object, "cpu_util_useful", &r->cpu_util_useful) &&
-            GetInterval(object, "log_util", &r->log_util) &&
-            GetDouble(object, "avg_active_mpl", &r->avg_active_mpl) &&
-            GetI64(object, "commits", &r->commits) &&
-            GetI64(object, "restarts", &r->restarts) &&
-            GetI64(object, "blocks", &r->blocks) &&
-            GetDouble(object, "measured_seconds", &r->measured_seconds) &&
-            GetInt(object, "batches", &r->batches) &&
-            GetBool(object, "audited", &r->audited) &&
-            GetI64(object, "audit_violations", &r->audit_violations) &&
-            GetI64(object, "audit_checks", &r->audit_checks) &&
-            GetU64String(object, "replay_digest", &r->replay_digest);
-  if (!ok) return false;
-
-  auto stats_it = object.object.find("cc_stats");
-  if (stats_it == object.object.end() ||
-      stats_it->second.kind != JsonValue::Kind::kObject) {
-    return false;
-  }
-  const JsonValue& stats = stats_it->second;
-  ok = GetI64(stats, "deadlocks_detected", &r->cc_stats.deadlocks_detected) &&
-       GetI64(stats, "deadlock_victims", &r->cc_stats.deadlock_victims) &&
-       GetI64(stats, "lock_conflicts", &r->cc_stats.lock_conflicts) &&
-       GetI64(stats, "validation_failures", &r->cc_stats.validation_failures) &&
-       GetI64(stats, "wounds", &r->cc_stats.wounds) &&
-       GetI64(stats, "timestamp_rejections",
-              &r->cc_stats.timestamp_rejections);
-  if (!ok) return false;
-
-  // Tolerate journals written before the observability layer (no "phases"
-  // object): the breakdown just stays uncollected.
-  auto phases_it = object.object.find("phases");
-  if (phases_it != object.object.end()) {
-    if (phases_it->second.kind != JsonValue::Kind::kObject) return false;
-    const JsonValue& phases = phases_it->second;
-    ok = GetBool(phases, "collected", &r->phases.collected) &&
-         GetDouble(phases, "ready", &r->phases.ready) &&
-         GetDouble(phases, "cc_block", &r->phases.cc_block) &&
-         GetDouble(phases, "cpu", &r->phases.cpu) &&
-         GetDouble(phases, "disk", &r->phases.disk) &&
-         GetDouble(phases, "resource_wait", &r->phases.resource_wait) &&
-         GetDouble(phases, "think", &r->phases.think) &&
-         GetDouble(phases, "restart_delay", &r->phases.restart_delay) &&
-         GetDouble(phases, "wasted", &r->phases.wasted) &&
-         GetDouble(phases, "other", &r->phases.other);
-    if (!ok) return false;
-  }
-
-  // Tolerate journals written before blame attribution existed (no "blame"
-  // object): the breakdown just stays uncollected.
-  auto blame_it = object.object.find("blame");
-  if (blame_it != object.object.end()) {
-    if (blame_it->second.kind != JsonValue::Kind::kObject) return false;
-    const JsonValue& blame = blame_it->second;
-    ok = GetBool(blame, "collected", &r->blame.collected) &&
-         GetI64(blame, "wasted_us", &r->blame.wasted_us) &&
-         GetI64(blame, "wasted_attributed_us",
-                &r->blame.wasted_attributed_us) &&
-         GetI64(blame, "wasted_unattributed_us",
-                &r->blame.wasted_unattributed_us) &&
-         GetI64(blame, "blocked_us", &r->blame.blocked_us) &&
-         GetI64(blame, "blocked_attributed_us",
-                &r->blame.blocked_attributed_us) &&
-         GetI64(blame, "blocked_unattributed_us",
-                &r->blame.blocked_unattributed_us) &&
-         GetI64(blame, "restarts_charged", &r->blame.restarts_charged) &&
-         GetI64(blame, "blocks_charged", &r->blame.blocks_charged) &&
-         GetI64(blame, "genealogy_max", &r->blame.genealogy_max) &&
-         GetDouble(blame, "genealogy_mean", &r->blame.genealogy_mean) &&
-         GetI64(blame, "top_aborter", &r->blame.top_aborter) &&
-         GetI64(blame, "top_aborter_wasted_us",
-                &r->blame.top_aborter_wasted_us) &&
-         GetI64(blame, "top_holder", &r->blame.top_holder) &&
-         GetI64(blame, "top_holder_blocked_us",
-                &r->blame.top_holder_blocked_us);
-    if (!ok) return false;
-  }
-
-  auto classes_it = object.object.find("per_class");
-  if (classes_it == object.object.end() ||
-      classes_it->second.kind != JsonValue::Kind::kArray) {
-    return false;
-  }
-  for (const JsonValue& entry : classes_it->second.array) {
-    if (entry.kind != JsonValue::Kind::kObject) return false;
-    ClassMetrics cls;
-    if (!(GetString(entry, "name", &cls.name) &&
-          GetI64(entry, "commits", &cls.commits) &&
-          GetI64(entry, "restarts", &cls.restarts) &&
-          GetDouble(entry, "response_mean", &cls.response_mean) &&
-          GetDouble(entry, "response_stddev", &cls.response_stddev) &&
-          GetDouble(entry, "response_max", &cls.response_max))) {
-      return false;
-    }
-    r->per_class.push_back(std::move(cls));
+/// Inverse of WriteFields. Fails on a missing `in` or any missing or
+/// mistyped member, except that a whole `may_be_absent` object may be
+/// missing (journals written before it existed).
+template <typename S>
+bool ReadFields(const json::Value* in, S* s,
+                std::span<const FieldSpec<S>> fields) {
+  if (in == nullptr || in->kind != json::Value::Kind::kObject) return false;
+  for (const FieldSpec<S>& field : fields) {
+    if (field.key == nullptr) continue;
+    const json::Value* object = *field.object ? in->Find(field.object) : in;
+    if (object == nullptr && field.may_be_absent) continue;
+    const json::Value* member = object ? object->Find(field.key) : nullptr;
+    const bool loaded = std::visit(
+        [member](auto value) {
+          using T = std::remove_pointer_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, IntervalEstimate>) {
+            return ReadFields(member, value, IntervalFields());
+          } else if constexpr (std::is_same_v<T, std::vector<ClassMetrics>>) {
+            bool ok = member && member->kind == json::Value::Kind::kArray;
+            for (size_t i = 0; ok && i < member->array.size(); ++i) {
+              ok = ReadFields(&member->array[i], &value->emplace_back(),
+                              ClassFields());
+            }
+            return ok;
+          } else if constexpr (std::is_pointer_v<decltype(value)>) {
+            return json::Read(member, value);
+          } else {
+            return false;  // A derived view has no key.
+          }
+        },
+        field.at(*s));
+    if (!loaded) return false;
   }
   return true;
 }
@@ -669,20 +248,13 @@ SweepJournal::SweepJournal(const std::string& path) : path_(path) {
     std::string line;
     while (std::getline(in, line)) {
       if (StripWhitespace(line).empty()) continue;
-      JsonValue root;
+      json::Value root;
       uint64_t key = 0;
       uint64_t seed = 0;
       MetricsReport report;
-      bool ok = JsonParser(line).Parse(&root) &&
-                root.kind == JsonValue::Kind::kObject &&
-                GetU64String(root, "key", &key) &&
-                GetU64String(root, "seed", &seed);
-      if (ok) {
-        auto it = root.object.find("report");
-        ok = it != root.object.end() &&
-             DeserializeReport(it->second, &report);
-      }
-      if (!ok) {
+      if (!(json::Parse(line, &root) && json::Read(root.Find("key"), &key) &&
+            json::Read(root.Find("seed"), &seed) &&
+            ReadFields(root.Find("report"), &report, ReportFields()))) {
         ++skipped_lines_;
         continue;
       }
@@ -719,10 +291,12 @@ const MetricsReport* SweepJournal::Find(uint64_t key, uint64_t seed) const {
 Status SweepJournal::Append(uint64_t key, uint64_t seed,
                             const MetricsReport& report) {
   std::string line = "{";
-  AppendU64Field(&line, "key", key);
-  AppendU64Field(&line, "seed", seed);
-  line += "\"report\":";
-  line += SerializeReport(report);
+  AppendKey(&line, "key");
+  json::AppendU64(&line, key);
+  AppendKey(&line, "seed");
+  json::AppendU64(&line, seed);
+  AppendKey(&line, "report");
+  WriteFields(&line, report, ReportFields());
   line += "}\n";
   std::lock_guard<std::mutex> lock(mu_);
   // Injected append failure: the record never reaches the stream, exactly

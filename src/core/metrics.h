@@ -23,6 +23,7 @@ struct ClassMetrics {
   double response_mean = 0.0;
   double response_stddev = 0.0;
   double response_max = 0.0;
+  bool operator==(const ClassMetrics&) const = default;
 };
 
 /// Results of one simulation run (one algorithm at one parameter point).
@@ -92,6 +93,9 @@ struct MetricsReport {
   /// Per-class breakdown; one entry per TxnClass (a single entry named
   /// "default" for the paper's single-class workload).
   std::vector<ClassMetrics> per_class;
+
+  /// Field-by-field equality (doubles compare by value).
+  bool operator==(const MetricsReport&) const = default;
 };
 
 }  // namespace ccsim

@@ -63,6 +63,7 @@ struct BlameBreakdown {
   int64_t top_aborter_wasted_us = 0;
   TxnId top_holder = kInvalidTxn;         ///< Charged the most blocked µs.
   int64_t top_holder_blocked_us = 0;
+  bool operator==(const BlameBreakdown&) const = default;
 };
 
 /// Engine-side accumulator. The engine records one Charge* per conflict on

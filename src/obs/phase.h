@@ -34,6 +34,7 @@ struct PhaseBreakdown {
     return ready + cc_block + cpu + disk + resource_wait + think +
            restart_delay + wasted + other;
   }
+  bool operator==(const PhaseBreakdown&) const = default;
 };
 
 }  // namespace ccsim

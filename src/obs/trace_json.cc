@@ -2,26 +2,10 @@
 
 #include "inject/fault.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace ccsim {
-
-namespace {
-
-/// Escapes the characters that can appear in ccsim track/event names.
-/// Names are engine-controlled ASCII; this covers quotes and backslashes
-/// defensively rather than implementing full JSON string escaping.
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 TraceEventWriter::TraceEventWriter(const std::string& path) : out_(path) {
   out_ << "{\"traceEvents\":[";
@@ -34,19 +18,19 @@ void TraceEventWriter::BeginEvent(const char* ph, int pid, int64_t tid,
   out_ << StringPrintf("{\"ph\":\"%s\",\"pid\":%d,\"tid\":%lld,\"ts\":%lld",
                        ph, pid, static_cast<long long>(tid),
                        static_cast<long long>(time));
-  out_ << ",\"name\":\"" << EscapeJson(name) << "\"";
+  out_ << ",\"name\":" << json::Quote(name);
   ++events_written_;
 }
 
 void TraceEventWriter::NameProcess(int pid, const std::string& name) {
   BeginEvent("M", pid, 0, "process_name", 0);
-  out_ << ",\"args\":{\"name\":\"" << EscapeJson(name) << "\"}}";
+  out_ << ",\"args\":{\"name\":" << json::Quote(name) << "}}";
 }
 
 void TraceEventWriter::NameThread(int pid, int64_t tid,
                                   const std::string& name) {
   BeginEvent("M", pid, tid, "thread_name", 0);
-  out_ << ",\"args\":{\"name\":\"" << EscapeJson(name) << "\"}}";
+  out_ << ",\"args\":{\"name\":" << json::Quote(name) << "}}";
 }
 
 void TraceEventWriter::Complete(int pid, int64_t tid, const std::string& name,

@@ -34,6 +34,7 @@ struct IntervalEstimate {
   /// True when the batch series looks independent enough for the Student-t
   /// interval to be trusted.
   bool batches_look_independent() const { return lag1_autocorrelation < 0.3; }
+  bool operator==(const IntervalEstimate&) const = default;
 };
 
 /// Lag-1 sample autocorrelation of a series; 0 for fewer than 3 points or a

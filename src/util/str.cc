@@ -1,6 +1,7 @@
 #include "util/str.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +57,10 @@ std::optional<double> ParseDouble(std::string_view s) {
   char* end = nullptr;
   errno = 0;
   double value = std::strtod(buffer, &end);
-  if (errno != 0 || end != buffer + s.size()) return std::nullopt;
+  // ERANGE also flags subnormals, which strtod reads exactly; only an
+  // overflow or an underflow to zero is out of range.
+  const bool range = errno == ERANGE && (value == 0.0 || std::isinf(value));
+  if (range || end != buffer + s.size()) return std::nullopt;
   return value;
 }
 

@@ -19,7 +19,8 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// Parses a signed integer; returns nullopt on any trailing garbage.
 std::optional<int64_t> ParseInt(std::string_view s);
 
-/// Parses a double; returns nullopt on any trailing garbage.
+/// Parses a double; returns nullopt on any trailing garbage or a value past
+/// double range (overflow, underflow to zero). Subnormals parse exactly.
 std::optional<double> ParseDouble(std::string_view s);
 
 /// Parses "true"/"false"/"1"/"0" (case-insensitive).

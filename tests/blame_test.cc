@@ -282,24 +282,9 @@ TEST(BlameJournalTest, AggregatesRoundTripExactly) {
   ASSERT_EQ(reloaded.entry_count(), 1u);
   const MetricsReport* found = reloaded.Find(key, config.seed);
   ASSERT_NE(found, nullptr);
-  const BlameBreakdown& a = original.blame;
-  const BlameBreakdown& b = found->blame;
-  EXPECT_EQ(a.collected, b.collected);
-  EXPECT_EQ(a.wasted_us, b.wasted_us);
-  EXPECT_EQ(a.wasted_attributed_us, b.wasted_attributed_us);
-  EXPECT_EQ(a.wasted_unattributed_us, b.wasted_unattributed_us);
-  EXPECT_EQ(a.blocked_us, b.blocked_us);
-  EXPECT_EQ(a.blocked_attributed_us, b.blocked_attributed_us);
-  EXPECT_EQ(a.blocked_unattributed_us, b.blocked_unattributed_us);
-  EXPECT_EQ(a.restarts_charged, b.restarts_charged);
-  EXPECT_EQ(a.blocks_charged, b.blocks_charged);
-  EXPECT_EQ(a.genealogy_max, b.genealogy_max);
-  EXPECT_EQ(a.genealogy_mean, b.genealogy_mean)
-      << "doubles are stored as %.17g and must round-trip bit-exactly";
-  EXPECT_EQ(a.top_aborter, b.top_aborter);
-  EXPECT_EQ(a.top_aborter_wasted_us, b.top_aborter_wasted_us);
-  EXPECT_EQ(a.top_holder, b.top_holder);
-  EXPECT_EQ(a.top_holder_blocked_us, b.top_holder_blocked_us);
+  EXPECT_EQ(found->blame, original.blame);
+  EXPECT_EQ(*found, original)
+      << "every field, doubles included, must round-trip bit-exactly";
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 // point runner (docs/EXECUTION.md, "Crash-safe resume").
 #include "core/journal.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "util/json.h"
 
 namespace ccsim {
 namespace {
@@ -44,57 +46,28 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-bool ReportsBitIdentical(const MetricsReport& a, const MetricsReport& b) {
-  auto same_interval = [](const IntervalEstimate& x, const IntervalEstimate& y) {
-    return x.mean == y.mean && x.half_width == y.half_width &&
-           x.batches == y.batches &&
-           x.lag1_autocorrelation == y.lag1_autocorrelation;
-  };
-  if (!(a.algorithm == b.algorithm && a.mpl == b.mpl)) return false;
-  if (!same_interval(a.throughput, b.throughput)) return false;
-  if (!same_interval(a.response_mean, b.response_mean)) return false;
-  if (!(a.response_stddev == b.response_stddev &&
-        a.response_p50 == b.response_p50 && a.response_p90 == b.response_p90 &&
-        a.response_p99 == b.response_p99 && a.response_max == b.response_max)) {
-    return false;
-  }
-  if (!same_interval(a.block_ratio, b.block_ratio)) return false;
-  if (!same_interval(a.restart_ratio, b.restart_ratio)) return false;
-  if (!same_interval(a.disk_util_total, b.disk_util_total)) return false;
-  if (!same_interval(a.disk_util_useful, b.disk_util_useful)) return false;
-  if (!same_interval(a.cpu_util_total, b.cpu_util_total)) return false;
-  if (!same_interval(a.cpu_util_useful, b.cpu_util_useful)) return false;
-  if (!same_interval(a.log_util, b.log_util)) return false;
-  if (!(a.avg_active_mpl == b.avg_active_mpl && a.commits == b.commits &&
-        a.restarts == b.restarts && a.blocks == b.blocks &&
-        a.measured_seconds == b.measured_seconds && a.batches == b.batches)) {
-    return false;
-  }
-  if (!(a.cc_stats.deadlocks_detected == b.cc_stats.deadlocks_detected &&
-        a.cc_stats.deadlock_victims == b.cc_stats.deadlock_victims &&
-        a.cc_stats.lock_conflicts == b.cc_stats.lock_conflicts &&
-        a.cc_stats.validation_failures == b.cc_stats.validation_failures &&
-        a.cc_stats.wounds == b.cc_stats.wounds &&
-        a.cc_stats.timestamp_rejections == b.cc_stats.timestamp_rejections)) {
-    return false;
-  }
-  if (!(a.audited == b.audited && a.audit_violations == b.audit_violations &&
-        a.audit_checks == b.audit_checks &&
-        a.replay_digest == b.replay_digest)) {
-    return false;
-  }
-  if (a.per_class.size() != b.per_class.size()) return false;
-  for (size_t i = 0; i < a.per_class.size(); ++i) {
-    const ClassMetrics& x = a.per_class[i];
-    const ClassMetrics& y = b.per_class[i];
-    if (!(x.name == y.name && x.commits == y.commits &&
-          x.restarts == y.restarts && x.response_mean == y.response_mean &&
-          x.response_stddev == y.response_stddev &&
-          x.response_max == y.response_max)) {
-      return false;
-    }
-  }
-  return true;
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::string DataPath(const std::string& name) {
+  return std::string(CCSIM_TEST_DATA_DIR) + "/" + name;
+}
+
+/// An obs-on, audited, two-class point, so that the phases, blame and
+/// per_class parts of its report all carry data.
+EngineConfig ObsMultiClass() {
+  EngineConfig config = FastBase();
+  config.workload.db_size = 100;
+  config.workload.write_prob = 0.4;
+  config.workload.classes = {TxnClass{"update", 0.7, 5, 2, 8, 0.5},
+                             TxnClass{"query", 0.3, 4, 2, 6, 0.0}};
+  config.audit = true;
+  config.obs.enabled = true;
+  return config;
 }
 
 TEST(HashPointKeyTest, StableForSameInputs) {
@@ -134,6 +107,12 @@ TEST(HashPointKeyTest, SensitiveToEveryInterestingKnob) {
   EXPECT_NE(HashPointKey(FastBase(), lengths), base_key);
 }
 
+TEST(HashPointKeyTest, PinnedValue) {
+  // A reordered or dropped fold would silently orphan every existing
+  // journal. The same key heads tests/data/journal_pre_obs.jsonl.
+  EXPECT_EQ(HashPointKey(FastBase(), FastLengths()), 2481505833875882662ull);
+}
+
 TEST(HashPointKeyTest, SeedDoesNotParticipate) {
   EngineConfig reseeded = FastBase();
   reseeded.seed = 999;
@@ -146,9 +125,10 @@ TEST(SweepJournalTest, RoundTripsAReportExactly) {
   std::string path = TempPath("journal_roundtrip.jsonl");
   std::remove(path.c_str());
 
-  EngineConfig config = FastBase();
-  config.audit = true;  // Exercise the digest fields too.
+  EngineConfig config = ObsMultiClass();
   MetricsReport original = RunOnePoint(config, FastLengths());
+  ASSERT_TRUE(original.phases.collected && original.blame.collected);
+  ASSERT_EQ(original.per_class.size(), 2u);
   uint64_t key = HashPointKey(config, FastLengths());
   {
     SweepJournal journal(path);
@@ -157,7 +137,7 @@ TEST(SweepJournalTest, RoundTripsAReportExactly) {
     EXPECT_EQ(journal.entry_count(), 1u);
     const MetricsReport* found = journal.Find(key, config.seed);
     ASSERT_NE(found, nullptr);
-    EXPECT_TRUE(ReportsBitIdentical(*found, original));
+    EXPECT_EQ(*found, original);
   }
   // A fresh process (fresh journal object) sees the identical report.
   SweepJournal reloaded(path);
@@ -165,7 +145,7 @@ TEST(SweepJournalTest, RoundTripsAReportExactly) {
   EXPECT_EQ(reloaded.skipped_lines(), 0u);
   const MetricsReport* found = reloaded.Find(key, config.seed);
   ASSERT_NE(found, nullptr);
-  EXPECT_TRUE(ReportsBitIdentical(*found, original))
+  EXPECT_EQ(*found, original)
       << "every field, doubles included, must round-trip bit-exactly";
   EXPECT_EQ(reloaded.Find(key, config.seed + 1), nullptr);
   EXPECT_EQ(reloaded.Find(key + 1, config.seed), nullptr);
@@ -211,11 +191,79 @@ TEST(SweepJournalTest, GarbageLinesAreSkippedNotFatal) {
     out << "this is not json\n"
         << "{\"key\":\"1\",\"seed\":\"2\"}\n"  // Parses, but no report.
         << "\n";                               // Blank lines are ignored.
+    // A valid line, then the same report with out-of-range integers. A
+    // narrowing read would load mpl 2^32 + 5 as 5, and strtoull alone would
+    // load seed "-1" as 2^64 - 1; both must count as unparsable instead.
+    std::ifstream golden(DataPath("journal_pre_obs.jsonl"));
+    std::string line;
+    ASSERT_TRUE(std::getline(golden, line));
+    out << line << "\n";
+    const std::string mpl = "\"mpl\":5,";
+    ASSERT_NE(line.find(mpl), std::string::npos);
+    std::string wide_mpl = line;
+    wide_mpl.replace(line.find(mpl), mpl.size(), "\"mpl\":4294967301,");
+    out << wide_mpl << "\n";
+    const std::string seed = "\"seed\":\"3\"";
+    ASSERT_NE(line.find(seed), std::string::npos);
+    std::string negative_seed = line;
+    negative_seed.replace(line.find(seed), seed.size(), "\"seed\":\"-1\"");
+    out << negative_seed << "\n";
   }
   SweepJournal journal(path);
-  EXPECT_EQ(journal.entry_count(), 0u);
-  EXPECT_EQ(journal.skipped_lines(), 2u);
+  EXPECT_EQ(journal.entry_count(), 1u) << "only the valid line loads";
+  EXPECT_EQ(journal.skipped_lines(), 4u);
+  EXPECT_EQ(journal.Find(HashPointKey(FastBase(), FastLengths()), UINT64_MAX),
+            nullptr);
   std::remove(path.c_str());
+}
+
+// --- Golden lines captured from an earlier build (tests/data/) -----------
+
+TEST(SweepJournalGoldenTest, ObsMultiClassLinesReserializeByteForByte) {
+  // Each line holds an obs-on, audited, two-class report. Loading it and
+  // appending the loaded report must write the identical line back: the
+  // journal format is unchanged and every field survives the round trip.
+  const std::string golden = ReadFile(DataPath("journal_obs_multiclass.jsonl"));
+  ASSERT_FALSE(golden.empty());
+  SweepJournal loaded(DataPath("journal_obs_multiclass.jsonl"));
+  ASSERT_EQ(loaded.skipped_lines(), 0u);
+  std::string path = TempPath("journal_golden_rewrite.jsonl");
+  std::remove(path.c_str());
+  {
+    SweepJournal rewritten(path);
+    std::istringstream lines(golden);
+    std::string line;
+    while (std::getline(lines, line)) {
+      json::Value root;
+      uint64_t key = 0;
+      uint64_t seed = 0;
+      ASSERT_TRUE(json::Parse(line, &root));
+      ASSERT_TRUE(json::Read(root.Find("key"), &key));
+      ASSERT_TRUE(json::Read(root.Find("seed"), &seed));
+      const MetricsReport* report = loaded.Find(key, seed);
+      ASSERT_NE(report, nullptr);
+      EXPECT_TRUE(report->phases.collected && report->blame.collected);
+      EXPECT_EQ(report->per_class.size(), 2u);
+      ASSERT_TRUE(rewritten.Append(key, seed, *report).ok());
+    }
+  }
+  EXPECT_EQ(ReadFile(path), golden);
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournalGoldenTest, PreObservabilityLineLoads) {
+  // Written before the phases and blame objects existed.
+  SweepJournal journal(DataPath("journal_pre_obs.jsonl"));
+  EXPECT_EQ(journal.skipped_lines(), 0u);
+  ASSERT_EQ(journal.entry_count(), 1u);
+  const MetricsReport* report =
+      journal.Find(HashPointKey(FastBase(), FastLengths()), FastBase().seed);
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->commits, 128);
+  EXPECT_EQ(report->phases, PhaseBreakdown());
+  EXPECT_EQ(report->blame, BlameBreakdown());
+  ASSERT_EQ(report->per_class.size(), 1u);
+  EXPECT_EQ(report->per_class[0].name, "default");
 }
 
 TEST(SweepJournalTest, AppendToFullDeviceReportsDataLoss) {
@@ -247,8 +295,7 @@ TEST(JournalResumeTest, SecondRunReusesEveryPoint) {
   EXPECT_TRUE(second.points[0].from_journal);
   EXPECT_TRUE(second.points[1].from_journal);
   for (size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_TRUE(ReportsBitIdentical(first.points[i].report,
-                                    second.points[i].report))
+    EXPECT_EQ(first.points[i].report, second.points[i].report)
         << "journaled point " << i << " must be byte-for-byte the original";
   }
   std::remove(path.c_str());
@@ -298,8 +345,7 @@ TEST(JournalResumeTest, InterruptedSweepResumesBitIdentical) {
   }
   EXPECT_EQ(journal_hits, 1);
   for (size_t i = 0; i < reference.points.size(); ++i) {
-    EXPECT_TRUE(ReportsBitIdentical(reference.points[i].report,
-                                    resumed.points[i].report))
+    EXPECT_EQ(reference.points[i].report, resumed.points[i].report)
         << "resumed point " << i
         << " must match the uninterrupted reference exactly";
   }

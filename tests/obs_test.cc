@@ -31,6 +31,7 @@
 #include "res/server_pool.h"
 #include "sim/simulator.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace ccsim {
@@ -165,7 +166,7 @@ TEST(TraceEventWriterTest, WritesStructurallyValidJson) {
     TraceEventWriter writer(path);
     ASSERT_TRUE(writer.ok());
     writer.NameProcess(1, "transactions");
-    writer.NameThread(1, 42, "txn 42");
+    writer.NameThread(1, 42, "txn \"42\"\\\t");  // Quote, backslash, tab.
     writer.Complete(1, 42, "inc 1", 1000, 2500);
     writer.Instant(1, 42, "submitted", 900);
     writer.Counter(2, "disk queue", 1500, 3.0);
@@ -174,15 +175,32 @@ TEST(TraceEventWriterTest, WritesStructurallyValidJson) {
   }
   std::string text = ReadFile(path);
   EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u) << text.substr(0, 40);
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);
-  // Balanced object: every '{' has a '}' and the file closes the array.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
-            std::count(text.begin(), text.end(), '}'));
-  EXPECT_EQ(std::count(text.begin(), text.end(), '['),
-            std::count(text.begin(), text.end(), ']'));
+  // A real parse, not a brace count: the file is one JSON object whose
+  // traceEvents array holds every event, names escaped and intact.
+  json::Value root;
+  ASSERT_TRUE(json::Parse(text, &root)) << text;
+  const json::Value* events = root.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->kind, json::Value::Kind::kArray);
+  ASSERT_EQ(events->array.size(), 5u);
+  std::vector<std::string> phases;
+  for (const json::Value& event : events->array) {
+    std::string ph;
+    ASSERT_TRUE(json::Read(event.Find("ph"), &ph));
+    phases.push_back(ph);
+    int64_t ts = -1;
+    EXPECT_TRUE(json::Read(event.Find("ts"), &ts));
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"M", "M", "X", "i", "C"}));
+  std::string name;
+  ASSERT_TRUE(json::Read(events->array[1].Find("args")->Find("name"), &name));
+  EXPECT_EQ(name, "txn \"42\"\\\t");
+  int64_t dur = 0;
+  ASSERT_TRUE(json::Read(events->array[2].Find("dur"), &dur));
+  EXPECT_EQ(dur, 2500);
+  double value = 0.0;
+  ASSERT_TRUE(json::Read(events->array[4].Find("args")->Find("value"), &value));
+  EXPECT_EQ(value, 3.0);
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -62,12 +63,17 @@ TEST(StrTest, ParseDoubleValid) {
   EXPECT_DOUBLE_EQ(ParseDouble("0.25").value(), 0.25);
   EXPECT_DOUBLE_EQ(ParseDouble("-1e3").value(), -1000.0);
   EXPECT_DOUBLE_EQ(ParseDouble("7").value(), 7.0);
+  // Subnormals read back exactly; only overflow and underflow to zero fail.
+  EXPECT_EQ(ParseDouble("4.9406564584124654e-324").value(),
+            std::numeric_limits<double>::denorm_min());
 }
 
 TEST(StrTest, ParseDoubleInvalid) {
   EXPECT_FALSE(ParseDouble("").has_value());
   EXPECT_FALSE(ParseDouble("1.2.3").has_value());
   EXPECT_FALSE(ParseDouble("x").has_value());
+  EXPECT_FALSE(ParseDouble("1e999").has_value());
+  EXPECT_FALSE(ParseDouble("1e-999").has_value());
 }
 
 TEST(StrTest, ParseBool) {

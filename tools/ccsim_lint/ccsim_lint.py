@@ -50,6 +50,11 @@ Rules (docs/VERIFICATION.md):
                    checker runs between batches, not per decision. (Offline
                    checkers in audit/ and verify/ and the observability layer
                    are outside the rule's directories.)
+  R9 json-escape   Hand-written JSON string escaping — a \\u%04x format or a
+                   local *Escape* helper — appears only in src/util/json.cc
+                   (in src/, bench/ and examples/). Every JSON writer uses
+                   the one escaper there, so no copy can drift into emitting
+                   invalid JSON for a control character.
 
 Usage: ccsim_lint.py [--root REPO] [--self-test]
 Exit status: 0 clean, 1 violations found, 2 usage error.
@@ -117,10 +122,18 @@ R8_TOKEN = re.compile(
 # Offline checkers that run between batches, never per cc decision.
 R8_EXEMPT_FILES = {"src/core/history.h", "src/core/history.cc"}
 
+R9_DIRS = ("src", "bench", "examples")
+R9_OWNER = "src/util/json.cc"
+# Matched against comment-stripped text that keeps string literals.
+R9_FORMAT = re.compile(r"\\\\u%0?4[xX]")
+# Matched against comment- and string-stripped text.
+R9_HELPER = re.compile(r"\b\w*Escape\w*\s*\(")
 
-def strip_comments_and_strings(text):
-    """Replaces comments and string/char literal contents with spaces,
-    preserving line numbers so reported positions stay accurate."""
+
+def strip_comments_and_strings(text, keep_strings=False):
+    """Replaces comments and (unless keep_strings) string/char literal
+    contents with spaces, preserving line numbers so reported positions stay
+    accurate."""
     out = []
     i, n = len(text) and 0, len(text)
     state = "code"  # code | line_comment | block_comment | string | char
@@ -165,14 +178,14 @@ def strip_comments_and_strings(text):
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i : i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == quote:
                 state = "code"
                 out.append(quote)
             else:
-                out.append("\n" if c == "\n" else " ")
+                out.append(c if keep_strings or c == "\n" else " ")
         i += 1
     return "".join(out)
 
@@ -396,6 +409,33 @@ class Linter:
                     'iterate (docs/PERFORMANCE.md "Dense CC state")',
                 )
 
+    # --- R9 -----------------------------------------------------------------
+
+    def check_json_escaping(self):
+        for path in self.cpp_files(*R9_DIRS):
+            rel = self.rel(path)
+            if rel == R9_OWNER:
+                continue
+            text = path.read_text(encoding="utf-8")
+            hits = [
+                (m.start(), "a \\\\u%04x escape format")
+                for m in R9_FORMAT.finditer(
+                    strip_comments_and_strings(text, keep_strings=True)
+                )
+            ]
+            hits += [
+                (m.start(), f"escape helper {m.group(0).rstrip('( ')}()")
+                for m in R9_HELPER.finditer(strip_comments_and_strings(text))
+            ]
+            for offset, what in sorted(hits):
+                self.report(
+                    rel,
+                    line_of(text, offset),
+                    "R9",
+                    f"hand-written JSON escaping ({what}); use the one "
+                    "escaper in util/json.h (json::Quote / json::Writer)",
+                )
+
     def run(self):
         self.check_determinism()
         self.check_env_knobs()
@@ -405,6 +445,7 @@ class Linter:
         self.check_status_errors()
         self.check_obs_catalog()
         self.check_dense_state()
+        self.check_json_escaping()
         return self.violations
 
 
@@ -444,6 +485,11 @@ SELF_TEST_SNIPPETS = {
         "// std::unordered_map in a comment must not fire\n"
     ),
     "R8_exempt": "#include <unordered_set>\nstd::unordered_map<int, int> m_;\n",
+    "R9": (
+        "std::string EscapeJson(const std::string& s);\n"
+        'void F(std::string* out, char c) { *out += Printf("\\\\u%04x", c); }\n'
+        '// EscapeJson() and "\\\\u%04x" in a comment must not fire\n'
+    ),
 }
 
 
@@ -500,6 +546,10 @@ def self_test(tmp_root):
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
+        # R9: an escape helper and a \\u%04x format fire outside
+        # util/json.cc; the same text in util/json.cc stays silent.
+        (root / "src/sim/bad_escape.cc").write_text(SELF_TEST_SNIPPETS["R9"])
+        (root / "src/util/json.cc").write_text(SELF_TEST_SNIPPETS["R9"])
         violations = Linter(root).run()
 
         def expect(substring, count):
@@ -528,6 +578,10 @@ def self_test(tmp_root):
         expect("documented_gauge", 0)  # Catalogued: silent.
         expect("[R8]", 2)  # The include + the usage; not the comment.
         expect("history.cc", 0)  # Offline checker: allowlisted.
+        expect("[R9]", 2)  # The helper + the format; not the comment.
+        expect("bad_escape.cc:1", 1)
+        expect("bad_escape.cc:2", 1)
+        expect("json.cc", 0)  # The one owner of JSON escaping.
     if failures:
         for f in failures:
             print(f"ccsim-lint self-test FAIL: {f}", file=sys.stderr)
