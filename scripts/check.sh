@@ -16,15 +16,17 @@
 #   6. observability smoke: one figure point with the sampler + Perfetto
 #      trace on; validates the trace parses and the time-series CSV is
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
-#   7. ccsim-lint: project-rule linter (determinism, env-knob, observability
+#   7. benchmark self-test: builds the frozen perfbench/ binary against
+#      src/ and checks its pins (python3 perfbench/run.py --self-test)
+#   8. ccsim-lint: project-rule linter (determinism, env-knob, observability
 #      and layering rules — docs/VERIFICATION.md), self-test first
-#   8. deep schedule-space verification: verify_test re-run with
+#   9. deep schedule-space verification: verify_test re-run with
 #      CCSIM_VERIFY_DEPTH=8 (the full ctest pass above ran the shallow
 #      PR-lane depth); skipped with --fast
-#   9. chaos torture: seeded kill/corrupt/resume cycles against a journaled
+#  10. chaos torture: seeded kill/corrupt/resume cycles against a journaled
 #      sweep, CSVs byte-diffed against an uninterrupted reference
 #      (scripts/chaos_torture.sh, docs/FAULTS.md); skipped with --fast
-#  10. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
+#  11. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
 # Usage: scripts/check.sh [--fast]
@@ -65,6 +67,9 @@ scripts/crash_resume_smoke.sh ./build-plain/bench/fig03_04_low_conflict
 
 echo "=== observability smoke (sampler + trace artifacts validated) ==="
 scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
+
+echo "=== benchmark self-test (perfbench builds against src/, pins) ==="
+python3 perfbench/run.py --self-test
 
 echo "=== ccsim-lint (self-test, then the tree) ==="
 python3 tools/ccsim_lint/ccsim_lint.py --self-test

@@ -22,15 +22,6 @@ Rng NthStream(uint64_t seed, int n) {
   return stream;
 }
 
-/// Hot-granule sketch size: far above any workload's true heavy-hitter count
-/// yet O(1) memory regardless of db_size (obs/contention.h).
-constexpr size_t kHotGranuleCapacity = 4096;
-/// Rows written to the hot_<algo>_mpl<N>.csv table.
-constexpr size_t kHotGranuleTopK = 64;
-/// Chain-depth walks stop here; a depth this large means a waits-for cycle
-/// whose victim has not been chosen yet.
-constexpr int kMaxChainWalk = 64;
-
 }  // namespace
 
 ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
@@ -84,7 +75,6 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
   // headroom; open mode grows past the hint amortized.
   txns_.Reserve(static_cast<size_t>(
       std::max(config_.workload.num_terms, config_.workload.mpl)));
-  waits_for_obs_.Reserve(static_cast<size_t>(config_.workload.mpl));
   terminal_commits_.assign(
       static_cast<size_t>(std::max(config_.workload.num_terms, 1)), 0);
   class_response_.resize(static_cast<size_t>(config_.workload.ClassCount()));
@@ -105,7 +95,7 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
   if (config_.obs.enabled) {
     callbacks.on_blame = [this](TxnId victim, TxnId opponent, ObjectId obj,
                                 BlameKind kind) {
-      OnBlame(victim, opponent, obj, kind);
+      obs_->OnBlame(victim, opponent, obj, kind);
     };
   }
   cc_->SetCallbacks(std::move(callbacks));
@@ -114,13 +104,14 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
                                          [this] { return sim_->Now(); });
     cc_->SetAuditor(auditor_.get());
   }
-  if (config_.lifecycle_sink != nullptr) trace_ = config_.lifecycle_sink;
+  if (config_.lifecycle_sink != nullptr) {
+    subscribers_.push_back(config_.lifecycle_sink);
+  }
   SetupObservability();
 }
 
 void ClosedSystem::SetupObservability() {
-  obs_on_ = config_.obs.enabled;
-  if (!obs_on_) return;
+  if (!config_.obs.enabled) return;
   // Direct construction (tests, examples) may carry unresolved directory
   // fields; the experiment runner resolves per-point paths up front, in
   // which case this is a no-op.
@@ -131,64 +122,26 @@ void ClosedSystem::SetupObservability() {
   // Engine gauges: the population split the paper's dynamics arguments are
   // about. Gauges are evaluated only when the sampler fires.
   registry_->AddGauge("ready_queue", [this] {
-    return static_cast<double>(ready_queue_.size());
+    return static_cast<double>(Census().ready_queue);
   });
   registry_->AddGauge("active", [this] {
-    return static_cast<double>(active_count_);
+    return static_cast<double>(Census().active);
   });
-  auto count_state = [this](TxnState state) {
-    int64_t n = 0;
-    txns_.ForEach([&](TxnId id, const Txn& txn) {
-      (void)id;
-      if (txn.state == state) ++n;
-    });
-    return static_cast<double>(n);
-  };
-  registry_->AddGauge("blocked", [count_state] {
-    return count_state(TxnState::kBlocked);
+  registry_->AddGauge("blocked", [this] {
+    return static_cast<double>(Census().blocked);
   });
-  registry_->AddGauge("thinking", [count_state] {
-    return count_state(TxnState::kIntThink);
+  registry_->AddGauge("thinking", [this] {
+    return static_cast<double>(Census().thinking);
   });
-  registry_->AddGauge("restart_delay", [count_state] {
-    return count_state(TxnState::kRestartDelay);
+  registry_->AddGauge("restart_delay", [this] {
+    return static_cast<double>(Census().restart_delay);
   });
-  // Engine counters (cumulative; the sampler records them per tick so the
-  // time series shows rates as slopes).
-  ctr_commits_ = registry_->AddCounter("commits");
-  ctr_restarts_wound_ = registry_->AddCounter("restarts_wound");
-  ctr_restarts_decision_ = registry_->AddCounter("restarts_decision");
-  ctr_restarts_validation_ = registry_->AddCounter("restarts_validation");
-  ctr_cc_granted_ = registry_->AddCounter("cc_granted");
-  ctr_cc_blocked_ = registry_->AddCounter("cc_blocked");
-  ctr_cc_denied_ = registry_->AddCounter("cc_denied");
-  ctr_wasted_cpu_us_ = registry_->AddCounter("wasted_cpu_us");
-  ctr_wasted_disk_us_ = registry_->AddCounter("wasted_disk_us");
-  // Generic cc-algorithm gauges over CCStats (every algorithm), then the
-  // algorithm's own instruments (lock-table occupancy, deadlock searches,
-  // cycle lengths, ...).
-  const CCStats* cc_stats = &cc_->stats();
-  registry_->AddGauge("cc_deadlocks", [cc_stats] {
-    return static_cast<double>(cc_stats->deadlocks_detected);
-  });
-  registry_->AddGauge("cc_lock_conflicts", [cc_stats] {
-    return static_cast<double>(cc_stats->lock_conflicts);
-  });
-  registry_->AddGauge("cc_validation_failures", [cc_stats] {
-    return static_cast<double>(cc_stats->validation_failures);
-  });
-  registry_->AddGauge("cc_wounds", [cc_stats] {
-    return static_cast<double>(cc_stats->wounds);
-  });
-  registry_->AddGauge("cc_ts_rejections", [cc_stats] {
-    return static_cast<double>(cc_stats->timestamp_rejections);
-  });
-  // Blame / contention telemetry (obs/blame.h, obs/contention.h).
-  chain_depth_hist_ =
-      registry_->AddHistogram("block_chain_depth", 1.0, 33.0, 32);
-  genealogy_hist_ =
-      registry_->AddHistogram("restart_genealogy", 1.0, 33.0, 32);
-  contention_ = std::make_unique<ContentionProfiler>(kHotGranuleCapacity);
+  // Then the lifecycle view's instruments, the algorithm's own (lock-table
+  // occupancy, deadlock searches, cycle lengths, ...) and the resources'.
+  obs_ = std::make_unique<LifecycleStats>(
+      registry_.get(), &cc_->stats(),
+      static_cast<size_t>(
+          std::max(config_.workload.num_terms, config_.workload.mpl)));
   cc_->RegisterStats(registry_.get());
   resources_.RegisterStats(registry_.get());
 
@@ -198,9 +151,12 @@ void ClosedSystem::SetupObservability() {
     trace_writer_ = std::make_unique<TraceEventWriter>(config_.obs.trace_path);
     CCSIM_CHECK(trace_writer_->ok())
         << "cannot open trace file " << config_.obs.trace_path;
-    perfetto_ = std::make_unique<EngineTracer>(trace_writer_.get());
+    perfetto_ =
+        std::make_unique<EngineTracer>(trace_writer_.get(), obs_.get());
     resources_.AttachSpanSink(perfetto_.get());
+    subscribers_.push_back(perfetto_.get());
   }
+  subscribers_.push_back(obs_.get());
 }
 
 double ClosedSystem::BootstrapResponseSeconds() const {
@@ -216,7 +172,7 @@ double ClosedSystem::BootstrapResponseSeconds() const {
 void ClosedSystem::Prime() {
   CCSIM_CHECK(!primed_) << "Prime() called twice";
   primed_ = true;
-  if (obs_on_ && config_.obs.SamplingOn()) {
+  if (registry_ != nullptr && config_.obs.SamplingOn()) {
     CCSIM_CHECK(!config_.obs.sample_path.empty())
         << "sampling requested but no sample_path/sample_dir configured";
     sampler_ = std::make_unique<TimeSeriesSampler>(
@@ -255,8 +211,7 @@ void ClosedSystem::SubmitFromTerminal(int terminal) {
   txn.write_set = txn.spec.WriteSet();
   txn.first_submit = sim_->Now();
   txn.state = TxnState::kReady;
-  if (obs_on_) txn.ready_since = sim_->Now();
-  Trace(txn, TxnEvent::kSubmitted);
+  Emit(txn, TxnEvent::kSubmitted);
   ready_queue_.push_back(id);
   TryActivate();
 }
@@ -295,69 +250,37 @@ void ClosedSystem::Activate(TxnId id) {
   txn.think_done = false;
   txn.doomed = false;
   txn.grant_inflight = false;
-  txn.cpu_used = 0;
-  txn.disk_used = 0;
+  txn.cost = IncarnationCost{};
   txn.read_granules.clear();
   txn.write_granules.clear();
-  if (obs_on_) {
-    txn.ph_ready += sim_->Now() - txn.ready_since;
-    txn.ph_cc_block = 0;
-    txn.ph_cpu = 0;
-    txn.ph_disk = 0;
-    txn.ph_res_wait = 0;
-    txn.ph_think = 0;
-    txn.blame_opponent = kInvalidTxn;
-    txn.blame_block_opponent = kInvalidTxn;
-    txn.blame_block_charges.clear();
-  }
   ++active_count_;
   active_mpl_.Add(sim_->Now(), +1.0);
   if (config_.record_history) history_.RecordActivation(id, txn.incarnation);
-  Trace(txn, TxnEvent::kActivated);
+  Emit(txn, TxnEvent::kActivated);
   if (auditor_ != nullptr) {
     auditor_->OnTxnAdmitted(id, txn.incarnation);
     AuditFold(AuditOp::kBegin, id, txn.incarnation, 0);
   }
   cc_->OnBegin(id, txn.first_submit, txn.incarnation_start);
   if (cc_->needs_predeclaration()) {
-    std::vector<ObjectId> read_granules, write_granules;
-    for (ObjectId obj : txn.spec.reads) {
-      ObjectId granule = GranuleOf(obj);
-      if (std::find(read_granules.begin(), read_granules.end(), granule) ==
-          read_granules.end()) {
-        read_granules.push_back(granule);
+    auto granules_of = [this](const std::vector<ObjectId>& objects) {
+      std::vector<ObjectId> granules;
+      for (ObjectId obj : objects) {
+        ObjectId granule = GranuleOf(obj);
+        if (std::find(granules.begin(), granules.end(), granule) ==
+            granules.end()) {
+          granules.push_back(granule);
+        }
       }
-    }
-    for (ObjectId obj : txn.write_set) {
-      ObjectId granule = GranuleOf(obj);
-      if (std::find(write_granules.begin(), write_granules.end(), granule) ==
-          write_granules.end()) {
-        write_granules.push_back(granule);
-      }
-    }
+      return granules;
+    };
+    const std::vector<ObjectId> read_granules = granules_of(txn.spec.reads);
+    const std::vector<ObjectId> write_granules = granules_of(txn.write_set);
     CCDecision decision = cc_->Predeclare(id, read_granules, write_granules);
     AuditFold(AuditOp::kPredeclare, id, static_cast<int64_t>(decision),
               static_cast<int64_t>(read_granules.size() +
                                    write_granules.size()));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        break;
-      case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
-    }
+    if (!ApplyDecision(txn, decision)) return;
   }
   NextStep(id);
 }
@@ -399,24 +322,30 @@ bool ClosedSystem::NeedsInternalThink(const Txn& txn) const {
          txn.read_index >= txn.spec.num_reads();
 }
 
-bool ClosedSystem::GranuleAlreadyCovered(const Txn& txn) const {
-  if (config_.lock_granule_size <= 1) return false;
+std::optional<ClosedSystem::CcRequest> ClosedSystem::NextRequest(
+    const Txn& txn) const {
   if (txn.read_index < txn.spec.num_reads()) {
-    ObjectId granule =
-        GranuleOf(txn.spec.reads[static_cast<size_t>(txn.read_index)]);
-    bool write_intent =
-        config_.x_lock_on_read_intent &&
-        txn.spec.writes[static_cast<size_t>(txn.read_index)];
-    if (write_intent) return txn.write_granules.count(granule) > 0;
-    return txn.read_granules.count(granule) > 0 ||
-           txn.write_granules.count(granule) > 0;
+    const auto i = static_cast<size_t>(txn.read_index);
+    // Under static write locking, a to-be-written object is requested in
+    // write mode up front instead of read-locked and upgraded later.
+    return CcRequest{GranuleOf(txn.spec.reads[i]),
+                     config_.x_lock_on_read_intent && txn.spec.writes[i],
+                     /*read_phase=*/true};
   }
   if (txn.write_index < static_cast<int>(txn.write_set.size())) {
-    ObjectId granule =
-        GranuleOf(txn.write_set[static_cast<size_t>(txn.write_index)]);
-    return txn.write_granules.count(granule) > 0;
+    return CcRequest{
+        GranuleOf(txn.write_set[static_cast<size_t>(txn.write_index)]),
+        /*write_mode=*/true, /*read_phase=*/false};
   }
-  return false;  // The validation request is always issued.
+  return std::nullopt;
+}
+
+bool ClosedSystem::GranuleAlreadyCovered(const Txn& txn) const {
+  if (config_.lock_granule_size <= 1) return false;
+  const std::optional<CcRequest> request = NextRequest(txn);
+  if (!request) return false;  // The validation request is always issued.
+  if (txn.write_granules.count(request->granule) > 0) return true;
+  return !request->write_mode && txn.read_granules.count(request->granule) > 0;
 }
 
 void ClosedSystem::IssueCcRequest(TxnId id) {
@@ -427,10 +356,8 @@ void ClosedSystem::IssueCcRequest(TxnId id) {
     SimTime req_at = sim_->Now();
     resources_.RequestCpu(cc_cpu, ServicePriority::kConcurrencyControl,
                           [this, id, incarnation, cc_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += cc_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, cc_cpu,
-                                        req_at);
+                            Charge(id, incarnation, &IncarnationCost::cpu,
+                                   cc_cpu, req_at);
                             HandleCcRequest(id);
                           });
     return;
@@ -445,89 +372,59 @@ void ClosedSystem::HandleCcRequest(TxnId id) {
     Restart(id, RestartCause::kWound);
     return;
   }
-
-  if (txn.read_index < txn.spec.num_reads()) {
-    ObjectId granule =
-        GranuleOf(txn.spec.reads[static_cast<size_t>(txn.read_index)]);
-    // Under static write locking, a to-be-written object is requested in
-    // write mode up front instead of read-locked and upgraded later.
-    bool write_intent =
-        config_.x_lock_on_read_intent &&
-        txn.spec.writes[static_cast<size_t>(txn.read_index)];
-    CCDecision decision = write_intent ? cc_->WriteRequest(id, granule)
-                                       : cc_->ReadRequest(id, granule);
-    AuditFold(write_intent ? AuditOp::kWrite : AuditOp::kRead, id, granule,
-              static_cast<int64_t>(decision));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        if (config_.lock_granule_size > 1) {
-          (write_intent ? txn.write_granules : txn.read_granules)
-              .insert(granule);
-        }
-        // History records the read at the grant, not after the read I/O
-        // lands: the grant is the instant the cc algorithm fixes which
-        // version this read observes. Recording after the I/O would let a
-        // newer writer commit (and record its writes) inside the lag, and
-        // the conflict checker would misorder the pair.
-        if (config_.record_history) {
-          history_.RecordRead(id, txn.incarnation, granule, sim_->Now());
-        }
-        StartAccess(id);
-        return;
-      case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
+  const std::optional<CcRequest> request = NextRequest(txn);
+  if (!request) {
+    // Validation at the commit point.
+    bool valid = cc_->Validate(id);
+    AuditFold(AuditOp::kValidate, id, valid ? 1 : 0, 0);
+    if (valid) {
+      BeginUpdates(id);
+    } else {
+      Restart(id, RestartCause::kValidation);
     }
+    return;
   }
+  const ObjectId granule = request->granule;
+  CCDecision decision = request->write_mode ? cc_->WriteRequest(id, granule)
+                                            : cc_->ReadRequest(id, granule);
+  AuditFold(request->write_mode ? AuditOp::kWrite : AuditOp::kRead, id,
+            granule, static_cast<int64_t>(decision));
+  if (!ApplyDecision(txn, decision)) return;
+  if (config_.lock_granule_size > 1) {
+    (request->write_mode ? txn.write_granules : txn.read_granules)
+        .insert(granule);
+  }
+  // History records the read at the grant, not after the read I/O lands:
+  // the grant is the instant the cc algorithm fixes which version this read
+  // observes. Recording after the I/O would let a newer writer commit (and
+  // record its writes) inside the lag, and the conflict checker would
+  // misorder the pair.
+  if (config_.record_history && request->read_phase) {
+    history_.RecordRead(id, txn.incarnation, granule, sim_->Now());
+  }
+  StartAccess(id);
+}
 
-  if (txn.write_index < static_cast<int>(txn.write_set.size())) {
-    ObjectId granule =
-        GranuleOf(txn.write_set[static_cast<size_t>(txn.write_index)]);
-    CCDecision decision = cc_->WriteRequest(id, granule);
-    AuditFold(AuditOp::kWrite, id, granule, static_cast<int64_t>(decision));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        if (config_.lock_granule_size > 1) txn.write_granules.insert(granule);
-        StartAccess(id);
-        return;
-      case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
-    }
+bool ClosedSystem::ApplyDecision(Txn& txn, CCDecision decision) {
+  if (obs_ != nullptr) obs_->CountDecision(decision);
+  switch (decision) {
+    case CCDecision::kGranted:
+      return true;
+    case CCDecision::kBlocked:
+      txn.state = TxnState::kBlocked;
+      ++batch_.blocks;
+      ++measured_blocks_;
+      Emit(txn, TxnEvent::kBlocked);
+      // The algorithm must now track the transaction as a waiter.
+      if (auditor_ != nullptr) {
+        auditor_->CheckBlockedTracked(txn.id, cc_->AuditTracksWaiter(txn.id));
+      }
+      return false;
+    case CCDecision::kRestart:
+      Restart(txn.id, RestartCause::kDecision);
+      return false;
   }
-
-  // Validation at the commit point.
-  bool valid = cc_->Validate(id);
-  AuditFold(AuditOp::kValidate, id, valid ? 1 : 0, 0);
-  if (valid) {
-    BeginUpdates(id);
-  } else {
-    Restart(id, RestartCause::kValidation);
-  }
+  return false;
 }
 
 void ClosedSystem::StartAccess(TxnId id) {
@@ -547,9 +444,7 @@ void ClosedSystem::StartAccess(TxnId id) {
       SimTime obj_io = w.obj_io;
       SimTime req_at = sim_->Now();
       resources_.RequestDisk(obj_io, [this, id, incarnation, obj_io, req_at] {
-        CCSIM_CHECK(IsCurrent(id, incarnation));
-        GetTxn(id).disk_used += obj_io;
-        ChargePhase(GetTxn(id), &Txn::ph_disk, obj_io, req_at);
+        Charge(id, incarnation, &IncarnationCost::disk, obj_io, req_at);
         StartReadCpu(id, incarnation);
       });
     } else {
@@ -564,14 +459,12 @@ void ClosedSystem::StartAccess(TxnId id) {
     SimTime req_at = sim_->Now();
     resources_.RequestCpu(obj_cpu, ServicePriority::kNormal,
                           [this, id, incarnation, obj_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += obj_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, obj_cpu,
-                                        req_at);
-                            AfterWriteAccess(id, incarnation);
+                            Charge(id, incarnation, &IncarnationCost::cpu,
+                                   obj_cpu, req_at);
+                            AfterAccess(id, incarnation);
                           });
   } else {
-    AfterWriteAccess(id, incarnation);
+    AfterAccess(id, incarnation);
   }
 }
 
@@ -582,45 +475,38 @@ void ClosedSystem::StartReadCpu(TxnId id, int incarnation) {
     SimTime req_at = sim_->Now();
     resources_.RequestCpu(obj_cpu, ServicePriority::kNormal,
                           [this, id, incarnation, obj_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += obj_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, obj_cpu,
-                                        req_at);
-                            AfterReadAccess(id, incarnation);
+                            Charge(id, incarnation, &IncarnationCost::cpu,
+                                   obj_cpu, req_at);
+                            AfterAccess(id, incarnation);
                           });
   } else {
-    AfterReadAccess(id, incarnation);
+    AfterAccess(id, incarnation);
   }
 }
 
-void ClosedSystem::AfterReadAccess(TxnId id, int incarnation) {
-  CCSIM_CHECK(IsCurrent(id, incarnation));
-  // The logical read was already recorded at its cc grant (HandleCcRequest).
-  ++GetTxn(id).read_index;
-  NextStep(id);
-}
-
-void ClosedSystem::AfterWriteAccess(TxnId id, int incarnation) {
+void ClosedSystem::AfterAccess(TxnId id, int incarnation) {
   CCSIM_CHECK(IsCurrent(id, incarnation));
   Txn& txn = GetTxn(id);
-  ++txn.write_index;
+  // A read was already recorded in the history at its cc grant
+  // (HandleCcRequest).
+  ++(txn.read_index < txn.spec.num_reads() ? txn.read_index
+                                           : txn.write_index);
   NextStep(id);
 }
 
 void ClosedSystem::StartInternalThink(TxnId id) {
   Txn& txn = GetTxn(id);
   txn.state = TxnState::kIntThink;
-  Trace(txn, TxnEvent::kInternalThink);
+  const SimTime think = workload_.NextInternalThink();
+  Emit(txn, TxnEvent::kInternalThink, {.think = think});
   int incarnation = txn.incarnation;
-  SimTime think = workload_.NextInternalThink();
-  txn.pending_event = sim_->Schedule(think, [this, id, incarnation, think] {
+  txn.pending_event = sim_->Schedule(think, [this, id, incarnation] {
     CCSIM_CHECK(IsCurrent(id, incarnation));
     Txn& t = GetTxn(id);
     CCSIM_CHECK(t.state == TxnState::kIntThink);
     t.pending_event = kInvalidEventId;
     t.think_done = true;
     t.state = TxnState::kRunning;
-    if (obs_on_) t.ph_think += think;
     NextStep(id);
   });
 }
@@ -646,8 +532,7 @@ void ClosedSystem::BeginUpdates(TxnId id) {
     SimTime log_io = w.log_io;
     SimTime req_at = sim_->Now();
     resources_.RequestLog(log_io, [this, id, incarnation, log_io, req_at] {
-      CCSIM_CHECK(IsCurrent(id, incarnation));
-      ChargePhase(GetTxn(id), &Txn::ph_disk, log_io, req_at);
+      Charge(id, incarnation, &IncarnationCost::log, log_io, req_at);
       NextUpdate(id);
     });
     return;
@@ -688,11 +573,8 @@ void ClosedSystem::NextUpdate(TxnId id) {
     SimTime obj_io = w.obj_io;
     SimTime req_at = sim_->Now();
     resources_.RequestDisk(obj_io, [this, id, incarnation, obj_io, req_at] {
-      CCSIM_CHECK(IsCurrent(id, incarnation));
-      Txn& t = GetTxn(id);
-      t.disk_used += obj_io;
-      ChargePhase(t, &Txn::ph_disk, obj_io, req_at);
-      ++t.update_index;
+      Charge(id, incarnation, &IncarnationCost::disk, obj_io, req_at);
+      ++GetTxn(id).update_index;
       NextUpdate(id);
     });
   } else {
@@ -709,56 +591,23 @@ void ClosedSystem::Complete(TxnId id) {
   }
   double response = ToSeconds(sim_->Now() - txn.first_submit);
   restart_policy_.RecordResponse(response);
-  batch_response_.Add(response);
+  batch_.response.Add(response);
   measured_response_.Add(response);
   measured_response_hist_.Add(response);
   auto class_index = static_cast<size_t>(txn.spec.class_index);
   class_response_[class_index].Add(response);
   ++class_commits_[class_index];
-  ++batch_commits_;
+  ++batch_.commits;
   ++measured_commits_;
   ++lifetime_commits_;
   if (txn.terminal >= 0 &&
       txn.terminal < static_cast<int>(terminal_commits_.size())) {
     ++terminal_commits_[static_cast<size_t>(txn.terminal)];
   }
-  batch_useful_cpu_ += txn.cpu_used;
-  batch_useful_disk_ += txn.disk_used;
+  batch_.useful_cpu += txn.cost.cpu;
+  batch_.useful_disk += txn.cost.disk;
   if (progress_ != nullptr) {
     progress_->commits.store(lifetime_commits_, std::memory_order_relaxed);
-  }
-  if (obs_on_) {
-    ctr_commits_->Inc();
-    // Phase decomposition of the full response, folded at commit so the sums
-    // cover exactly the measured population. The final incarnation's active
-    // time that no bucket claims (group-commit window waits, zero-delay
-    // scheduling hops) lands in `other`, keeping the identity
-    //   response = ready + restart_delay + wasted + cc_block + cpu + disk
-    //            + res_wait + think + other
-    // exact in integer microseconds.
-    phase_sums_.ready += txn.ph_ready;
-    phase_sums_.restart_delay += txn.ph_restart_delay;
-    phase_sums_.wasted += txn.ph_wasted;
-    phase_sums_.cc_block += txn.ph_cc_block;
-    phase_sums_.cpu += txn.ph_cpu;
-    phase_sums_.disk += txn.ph_disk;
-    phase_sums_.res_wait += txn.ph_res_wait;
-    phase_sums_.think += txn.ph_think;
-    SimTime final_active = sim_->Now() - txn.incarnation_start;
-    phase_sums_.other += final_active -
-                         (txn.ph_cc_block + txn.ph_cpu + txn.ph_disk +
-                          txn.ph_res_wait + txn.ph_think);
-    // Blame folds at the same instant as the phase sums, over the same
-    // charges that produced ph_wasted / ph_cc_block, so attribution and
-    // phase totals agree in exact integer µs (obs/blame.h).
-    for (const auto& [aborter, us] : txn.blame_wasted_charges) {
-      blame_ledger_.ChargeWasted(aborter, us);
-    }
-    for (const auto& [holder, us] : txn.blame_block_charges) {
-      blame_ledger_.ChargeBlocked(holder, us);
-    }
-    blame_ledger_.AddGenealogy(txn.incarnation);
-    genealogy_hist_->Add(static_cast<double>(txn.incarnation));
   }
 
   // History records deferred writes at commit, when they become visible, not
@@ -777,7 +626,7 @@ void ClosedSystem::Complete(TxnId id) {
   }
   cc_->Commit(id);
   if (config_.record_history) history_.RecordCommit(id, txn.incarnation);
-  Trace(txn, TxnEvent::kCommitted);
+  Emit(txn, TxnEvent::kCommitted, {.cost = txn.cost});
   if (auditor_ != nullptr) {
     AuditFold(AuditOp::kCommit, id, txn.incarnation, 0);
     auditor_->OnTxnFinished(id);
@@ -804,30 +653,15 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
     sim_->Cancel(txn.pending_event);
     txn.pending_event = kInvalidEventId;
   }
-  ++batch_restarts_;
+  ++batch_.restarts;
   ++measured_restarts_;
   ++lifetime_restarts_;
   ++class_restarts_[static_cast<size_t>(txn.spec.class_index)];
-  if (obs_on_) {
-    // The whole aborted incarnation is wasted work, wall-to-wall: service,
-    // waits, and thinks alike are repeated by the replay.
-    const SimTime wasted = sim_->Now() - txn.incarnation_start;
-    txn.ph_wasted += wasted;
-    // Charge the incarnation to the opponent of the conflict that killed it
-    // (kInvalidTxn when the algorithm could not name one); the charge folds
-    // only if this transaction eventually commits in the window, mirroring
-    // ph_wasted exactly.
-    txn.blame_wasted_charges.emplace_back(txn.blame_opponent, wasted);
-    waits_for_obs_.Erase(id);
-    switch (cause) {
-      case RestartCause::kWound: ctr_restarts_wound_->Inc(); break;
-      case RestartCause::kDecision: ctr_restarts_decision_->Inc(); break;
-      case RestartCause::kValidation: ctr_restarts_validation_->Inc(); break;
-    }
-    ctr_wasted_cpu_us_->Add(txn.cpu_used);
-    ctr_wasted_disk_us_->Add(txn.disk_used);
-  }
-  Trace(txn, TxnEvent::kRestarted);
+  // Drawn ahead of the re-entry below because the kRestarted record
+  // carries it.
+  const SimTime delay = restart_policy_.NextDelay(&delay_rng_);
+  Emit(txn, TxnEvent::kRestarted,
+       {.cause = cause, .restart_delay = delay, .cost = txn.cost});
 
   cc_->Abort(id);
   if (config_.record_history) history_.RecordAbort(id, txn.incarnation);
@@ -843,8 +677,6 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   // conflicting replay and no delay) would then livelock *inside* one event,
   // where neither the event budget nor the wall-clock watchdog (both checked
   // between events, sim/simulator.h RunGuard) could ever interrupt it.
-  SimTime delay = restart_policy_.NextDelay(&delay_rng_);
-  if (obs_on_) txn.ph_restart_delay += delay;
   txn.state = TxnState::kRestartDelay;
   int incarnation = txn.incarnation;
   txn.pending_event = sim_->Schedule(delay, [this, id, incarnation] {
@@ -853,7 +685,6 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
     CCSIM_CHECK(t.state == TxnState::kRestartDelay);
     t.pending_event = kInvalidEventId;
     t.state = TxnState::kReady;
-    if (obs_on_) t.ready_since = sim_->Now();
     ready_queue_.push_back(id);
     TryActivate();
   });
@@ -879,14 +710,7 @@ void ClosedSystem::OnGranted(TxnId id) {
     t.grant_inflight = false;
     if (t.state != TxnState::kBlocked) return;  // Stale grant.
     t.state = TxnState::kRunning;
-    if (obs_on_) {
-      const SimTime blocked = sim_->Now() - t.blocked_since;
-      t.ph_cc_block += blocked;
-      t.blame_block_charges.emplace_back(t.blame_block_opponent, blocked);
-      t.blame_block_opponent = kInvalidTxn;
-      waits_for_obs_.Erase(id);
-    }
-    Trace(t, TxnEvent::kResumed);
+    Emit(t, TxnEvent::kResumed);
     AuditTransition();
     if (t.doomed) {
       Restart(id, RestartCause::kWound);
@@ -934,21 +758,7 @@ constexpr int64_t kAuditDeepCheckPeriod = 64;
 void ClosedSystem::AuditTransition() {
   if (auditor_ == nullptr) return;
   auditor_->OnEventTime(sim_->Now());
-  TxnCensus census;
-  census.total = static_cast<int64_t>(txns_.size());
-  txns_.ForEach([&](TxnId id, const Txn& txn) {
-    (void)id;
-    switch (txn.state) {
-      case TxnState::kReady: ++census.ready; break;
-      case TxnState::kRunning: ++census.running; break;
-      case TxnState::kBlocked: ++census.blocked; break;
-      case TxnState::kIntThink: ++census.thinking; break;
-      case TxnState::kRestartDelay: ++census.restart_delay; break;
-    }
-  });
-  census.ready_queue = static_cast<int64_t>(ready_queue_.size());
-  census.active = active_count_;
-  auditor_->CheckConservation(census);
+  auditor_->CheckConservation(Census());
   if (++audit_transitions_ % kAuditDeepCheckPeriod == 0) {
     cc_->AuditCheck();
     // Lost-wakeup check: every blocked transaction must still be tracked as
@@ -961,11 +771,6 @@ void ClosedSystem::AuditTransition() {
       }
     });
   }
-}
-
-void ClosedSystem::AuditBlocked(TxnId id) {
-  if (auditor_ == nullptr) return;
-  auditor_->CheckBlockedTracked(id, cc_->AuditTracksWaiter(id));
 }
 
 void ClosedSystem::AuditFold(AuditOp op, TxnId id, int64_t a, int64_t b) {
@@ -1000,67 +805,27 @@ ClosedSystem::Txn& ClosedSystem::GetTxn(TxnId id) {
 }
 
 
-void ClosedSystem::Trace(const Txn& txn, TxnEvent event) {
-  if (trace_ == nullptr && perfetto_ == nullptr) return;
-  TraceRecord record{sim_->Now(), txn.id, txn.incarnation, event};
-  if (trace_ != nullptr) trace_->Record(record);
-  if (perfetto_ != nullptr) perfetto_->Record(record);
+void ClosedSystem::Emit(const Txn& txn, TxnEvent event, TraceRecord record) {
+  if (subscribers_.empty()) return;
+  record.time = sim_->Now();
+  record.txn = txn.id;
+  record.incarnation = txn.incarnation;
+  record.event = event;
+  for (TraceSink* subscriber : subscribers_) subscriber->Record(record);
 }
 
-void ClosedSystem::CountDecision(CCDecision decision) {
-  if (ctr_cc_granted_ == nullptr) return;
-  switch (decision) {
-    case CCDecision::kGranted: ctr_cc_granted_->Inc(); break;
-    case CCDecision::kBlocked: ctr_cc_blocked_->Inc(); break;
-    case CCDecision::kRestart: ctr_cc_denied_->Inc(); break;
-  }
-}
-
-void ClosedSystem::ChargePhase(Txn& txn, SimTime Txn::* bucket,
-                               SimTime service, SimTime requested_at) {
-  if (!obs_on_) return;
-  txn.*bucket += service;
+void ClosedSystem::Charge(TxnId id, int incarnation,
+                          SimTime IncarnationCost::*field, SimTime service,
+                          SimTime requested_at) {
+  CCSIM_CHECK(IsCurrent(id, incarnation));
+  IncarnationCost& cost = GetTxn(id).cost;
+  cost.*field += service;
   // Whatever elapsed beyond pure service time was spent queued for the
   // resource (FCFS server pools, res/server_pool.h).
-  txn.ph_res_wait += (sim_->Now() - requested_at) - service;
-}
-
-void ClosedSystem::OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
-                           BlameKind kind) {
-  contention_->Record(obj, kind);
-  Txn& txn = GetTxn(victim);
-  if (kind == BlameKind::kBlock) {
-    txn.blame_block_opponent = opponent;
-  } else {
-    txn.blame_opponent = opponent;
-  }
-}
-
-void ClosedSystem::RecordBlockedEdge(TxnId id, SimTime now) {
-  Txn& txn = GetTxn(id);
-  const TxnId opponent = txn.blame_block_opponent;
-  if (opponent != kInvalidTxn && opponent != id) {
-    waits_for_obs_.Upsert(id) = opponent;
-    if (perfetto_ != nullptr) perfetto_->OnBlockedBy(id, opponent, now);
-  }
-  // Chain depth = waits-for edges reachable from this transaction through
-  // opponents that are themselves blocked. An unknown opponent still counts
-  // as one edge: the transaction does wait behind *someone*.
-  int depth = 0;
-  TxnId cursor = id;
-  for (int hops = 0; hops < kMaxChainWalk; ++hops) {
-    const TxnId* next = waits_for_obs_.Find(cursor);
-    if (next == nullptr) break;
-    ++depth;
-    cursor = *next;
-    if (cursor == id) break;  // Cycle: a deadlock awaiting victim selection.
-  }
-  if (depth == 0) depth = 1;
-  chain_depth_hist_->Add(static_cast<double>(depth));
+  cost.queued += (sim_->Now() - requested_at) - service;
 }
 
 void ClosedSystem::FinishObsArtifacts() {
-  if (!obs_on_) return;
   if (sampler_ != nullptr) {
     CCSIM_CHECK(sampler_->Finish())
         << "failed writing time-series csv " << config_.obs.sample_path;
@@ -1069,13 +834,14 @@ void ClosedSystem::FinishObsArtifacts() {
   if (perfetto_ != nullptr) {
     perfetto_->FlushOpen(sim_->Now());
     resources_.AttachSpanSink(nullptr);
+    std::erase(subscribers_, perfetto_.get());
     perfetto_.reset();
     CCSIM_CHECK(trace_writer_->Finish())
         << "failed writing trace file " << config_.obs.trace_path;
     trace_writer_.reset();
   }
-  if (contention_ != nullptr && !config_.obs.hot_path.empty()) {
-    CCSIM_CHECK(contention_->WriteCsv(config_.obs.hot_path, kHotGranuleTopK))
+  if (obs_ != nullptr && !config_.obs.hot_path.empty()) {
+    CCSIM_CHECK(obs_->WriteHotCsv(config_.obs.hot_path))
         << "failed writing hot-granule csv " << config_.obs.hot_path;
   }
 }
@@ -1092,12 +858,7 @@ void ClosedSystem::SetMpl(int new_mpl) {
 }
 
 void ClosedSystem::ResetMeasurement() {
-  batch_commits_ = 0;
-  batch_blocks_ = 0;
-  batch_restarts_ = 0;
-  batch_useful_cpu_ = 0;
-  batch_useful_disk_ = 0;
-  batch_response_.Reset();
+  batch_ = BatchWindow{};
   measured_commits_ = 0;
   measured_blocks_ = 0;
   measured_restarts_ = 0;
@@ -1106,20 +867,10 @@ void ClosedSystem::ResetMeasurement() {
   for (Welford& response : class_response_) response.Reset();
   std::fill(class_commits_.begin(), class_commits_.end(), 0);
   std::fill(class_restarts_.begin(), class_restarts_.end(), 0);
-  phase_sums_ = PhaseSums{};
-  blame_ledger_.Reset();
-  if (contention_ != nullptr) contention_->Reset();
+  if (obs_ != nullptr) obs_->ResetMeasurement();
   // Fresh interval estimators: a second RunExperiment must not inherit the
   // previous measurement's batches.
-  throughput_bm_ = BatchMeans();
-  response_bm_ = BatchMeans();
-  block_ratio_bm_ = BatchMeans();
-  restart_ratio_bm_ = BatchMeans();
-  disk_total_bm_ = BatchMeans();
-  disk_useful_bm_ = BatchMeans();
-  cpu_total_bm_ = BatchMeans();
-  cpu_useful_bm_ = BatchMeans();
-  log_bm_ = BatchMeans();
+  bm_ = Estimators();
   active_mpl_.ResetWindow(sim_->Now());
   resources_.ResetWindow(sim_->Now());
 }
@@ -1127,33 +878,28 @@ void ClosedSystem::ResetMeasurement() {
 void ClosedSystem::CloseBatch(SimTime batch_length) {
   SimTime now = sim_->Now();
   double seconds = ToSeconds(batch_length);
-  throughput_bm_.AddBatch(static_cast<double>(batch_commits_) / seconds);
-  if (batch_response_.count() > 0) {
-    response_bm_.AddBatch(batch_response_.Mean());
+  bm_.throughput.AddBatch(static_cast<double>(batch_.commits) / seconds);
+  if (batch_.response.count() > 0) {
+    bm_.response.AddBatch(batch_.response.Mean());
   }
-  if (batch_commits_ > 0) {
-    block_ratio_bm_.AddBatch(static_cast<double>(batch_blocks_) /
-                             static_cast<double>(batch_commits_));
-    restart_ratio_bm_.AddBatch(static_cast<double>(batch_restarts_) /
-                               static_cast<double>(batch_commits_));
+  if (batch_.commits > 0) {
+    bm_.block_ratio.AddBatch(static_cast<double>(batch_.blocks) /
+                             static_cast<double>(batch_.commits));
+    bm_.restart_ratio.AddBatch(static_cast<double>(batch_.restarts) /
+                               static_cast<double>(batch_.commits));
   }
-  disk_total_bm_.AddBatch(resources_.DiskUtilization(now));
-  cpu_total_bm_.AddBatch(resources_.CpuUtilization(now));
-  log_bm_.AddBatch(resources_.LogUtilization(now));
+  bm_.disk_total.AddBatch(resources_.DiskUtilization(now));
+  bm_.cpu_total.AddBatch(resources_.CpuUtilization(now));
+  bm_.log.AddBatch(resources_.LogUtilization(now));
   if (!config_.resources.infinite) {
     double disk_capacity =
         seconds * static_cast<double>(config_.resources.num_disks);
     double cpu_capacity =
         seconds * static_cast<double>(config_.resources.num_cpus);
-    disk_useful_bm_.AddBatch(ToSeconds(batch_useful_disk_) / disk_capacity);
-    cpu_useful_bm_.AddBatch(ToSeconds(batch_useful_cpu_) / cpu_capacity);
+    bm_.disk_useful.AddBatch(ToSeconds(batch_.useful_disk) / disk_capacity);
+    bm_.cpu_useful.AddBatch(ToSeconds(batch_.useful_cpu) / cpu_capacity);
   }
-  batch_commits_ = 0;
-  batch_blocks_ = 0;
-  batch_restarts_ = 0;
-  batch_useful_cpu_ = 0;
-  batch_useful_disk_ = 0;
-  batch_response_.Reset();
+  batch_ = BatchWindow{};
   resources_.ResetWindow(now);
 }
 
@@ -1173,20 +919,20 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   MetricsReport report;
   report.algorithm = cc_->name();
   report.mpl = mpl_;
-  report.throughput = throughput_bm_.Estimate();
-  report.response_mean = response_bm_.Estimate();
+  report.throughput = bm_.throughput.Estimate();
+  report.response_mean = bm_.response.Estimate();
   report.response_stddev = measured_response_.StdDev();
   report.response_p50 = measured_response_hist_.Quantile(0.50);
   report.response_p90 = measured_response_hist_.Quantile(0.90);
   report.response_p99 = measured_response_hist_.Quantile(0.99);
   report.response_max = measured_response_.Max();
-  report.block_ratio = block_ratio_bm_.Estimate();
-  report.restart_ratio = restart_ratio_bm_.Estimate();
-  report.disk_util_total = disk_total_bm_.Estimate();
-  report.disk_util_useful = disk_useful_bm_.Estimate();
-  report.cpu_util_total = cpu_total_bm_.Estimate();
-  report.cpu_util_useful = cpu_useful_bm_.Estimate();
-  report.log_util = log_bm_.Estimate();
+  report.block_ratio = bm_.block_ratio.Estimate();
+  report.restart_ratio = bm_.restart_ratio.Estimate();
+  report.disk_util_total = bm_.disk_total.Estimate();
+  report.disk_util_useful = bm_.disk_useful.Estimate();
+  report.cpu_util_total = bm_.cpu_total.Estimate();
+  report.cpu_util_useful = bm_.cpu_useful.Estimate();
+  report.log_util = bm_.log.Estimate();
   report.avg_active_mpl = active_mpl_.Average(sim_->Now());
   report.commits = measured_commits_;
   report.restarts = measured_restarts_;
@@ -1194,22 +940,9 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   report.measured_seconds = ToSeconds(batch_length) * batches;
   report.batches = batches;
   report.cc_stats = cc_->stats();
-  if (obs_on_) {
-    report.phases.collected = true;
-    if (measured_commits_ > 0) {
-      double n = static_cast<double>(measured_commits_);
-      report.phases.ready = ToSeconds(phase_sums_.ready) / n;
-      report.phases.cc_block = ToSeconds(phase_sums_.cc_block) / n;
-      report.phases.cpu = ToSeconds(phase_sums_.cpu) / n;
-      report.phases.disk = ToSeconds(phase_sums_.disk) / n;
-      report.phases.resource_wait = ToSeconds(phase_sums_.res_wait) / n;
-      report.phases.think = ToSeconds(phase_sums_.think) / n;
-      report.phases.restart_delay = ToSeconds(phase_sums_.restart_delay) / n;
-      report.phases.wasted = ToSeconds(phase_sums_.wasted) / n;
-      report.phases.other = ToSeconds(phase_sums_.other) / n;
-    }
-    report.blame = blame_ledger_.Finish(phase_sums_.wasted,
-                                        phase_sums_.cc_block);
+  if (obs_ != nullptr) {
+    report.phases = obs_->Phases();
+    report.blame = obs_->Blame();
   }
   AuditFinal();
   if (auditor_ != nullptr) {
@@ -1232,25 +965,34 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   return report;
 }
 
-std::string ClosedSystem::DescribeCensus() const {
-  int64_t ready = 0, running = 0, blocked = 0, thinking = 0, delayed = 0;
-  txns_.ForEach([&](TxnId id, const Txn& txn) {
-    (void)id;
+TxnCensus ClosedSystem::Census() const {
+  TxnCensus census;
+  census.total = static_cast<int64_t>(txns_.size());
+  txns_.ForEach([&](TxnId, const Txn& txn) {
     switch (txn.state) {
-      case TxnState::kReady: ++ready; break;
-      case TxnState::kRunning: ++running; break;
-      case TxnState::kBlocked: ++blocked; break;
-      case TxnState::kIntThink: ++thinking; break;
-      case TxnState::kRestartDelay: ++delayed; break;
+      case TxnState::kReady: ++census.ready; break;
+      case TxnState::kRunning: ++census.running; break;
+      case TxnState::kBlocked: ++census.blocked; break;
+      case TxnState::kIntThink: ++census.thinking; break;
+      case TxnState::kRestartDelay: ++census.restart_delay; break;
     }
   });
+  census.ready_queue = static_cast<int64_t>(ready_queue_.size());
+  census.active = active_count_;
+  return census;
+}
+
+std::string ClosedSystem::DescribeCensus() const {
+  const TxnCensus census = Census();
   return StringPrintf(
       "census: %lld running, %lld blocked, %lld in internal think, "
       "%lld in restart delay, %lld ready (active=%d, lifetime commits=%lld, "
       "restarts=%lld)",
-      static_cast<long long>(running), static_cast<long long>(blocked),
-      static_cast<long long>(thinking), static_cast<long long>(delayed),
-      static_cast<long long>(ready), active_count_,
+      static_cast<long long>(census.running),
+      static_cast<long long>(census.blocked),
+      static_cast<long long>(census.thinking),
+      static_cast<long long>(census.restart_delay),
+      static_cast<long long>(census.ready), active_count_,
       static_cast<long long>(lifetime_commits_),
       static_cast<long long>(lifetime_restarts_));
 }

@@ -27,9 +27,8 @@
 #include "cc/restart_policy.h"
 #include "core/history.h"
 #include "core/metrics.h"
-#include "obs/blame.h"
-#include "obs/contention.h"
 #include "obs/engine_tracer.h"
+#include "obs/lifecycle_stats.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
@@ -117,9 +116,9 @@ struct EngineConfig {
   /// branch per event. Excluded from the sweep-journal point key — the same
   /// experiment with different observability is the same experiment.
   ObsConfig obs;
-  /// Lifecycle trace sink attached at construction (run_config --trace).
-  /// Not owned; must outlive the simulation; nullptr = none. Equivalent to
-  /// calling SetTraceSink right after construction.
+  /// Lifecycle trace sink (run_config --trace): the first subscriber of the
+  /// engine's lifecycle stream (obs/trace.h). Not owned; must outlive the
+  /// simulation; nullptr = none.
   TraceSink* lifecycle_sink = nullptr;
   /// Overrides MakeConcurrencyControl(algorithm, victim_policy) when set.
   /// Exists for the verifier's seeded-mutation self-test (src/verify/mutant),
@@ -177,10 +176,6 @@ class ClosedSystem {
   void SetMpl(int mpl);
   int mpl() const { return mpl_; }
 
-  /// Attaches a lifecycle trace sink (nullptr detaches). Not owned; must
-  /// outlive the simulation.
-  void SetTraceSink(TraceSink* sink) { trace_ = sink; }
-
   /// The observability registry; nullptr unless config.obs.enabled.
   const StatsRegistry* stats_registry() const { return registry_.get(); }
 
@@ -226,40 +221,12 @@ class ClosedSystem {
     /// (only maintained when lock_granule_size > 1).
     SmallIdSet read_granules;
     SmallIdSet write_granules;
-    /// Resources consumed by the current incarnation (for useful-work
-    /// accounting: credited only if this incarnation commits).
-    SimTime cpu_used = 0;
-    SimTime disk_used = 0;
+    /// Service and queueing of the current incarnation. cpu and disk are
+    /// the useful work credited if this incarnation commits; the whole cost
+    /// rides on the kRestarted / kCommitted record.
+    IncarnationCost cost;
     /// Pending think / restart-delay event, cancellable on wound.
     EventId pending_event = kInvalidEventId;
-
-    // Phase accounting (maintained only when config.obs.enabled; all µs).
-    SimTime ready_since = 0;    ///< Entered the ready queue.
-    SimTime blocked_since = 0;  ///< Last cc block began.
-    // Whole-transaction accumulators (survive restarts).
-    SimTime ph_ready = 0;
-    SimTime ph_restart_delay = 0;
-    SimTime ph_wasted = 0;
-    // Current-incarnation buckets (reset at Activate).
-    SimTime ph_cc_block = 0;
-    SimTime ph_cpu = 0;
-    SimTime ph_disk = 0;
-    SimTime ph_res_wait = 0;
-    SimTime ph_think = 0;
-
-    // Blame attribution (obs/blame.h; maintained only when obs is on).
-    /// Opponent of the most recent restart-causing conflict (wound, denial,
-    /// validation failure, timestamp rejection). Reset at Activate.
-    TxnId blame_opponent = kInvalidTxn;
-    /// Holder behind the current (or just-resolved) cc block.
-    TxnId blame_block_opponent = kInvalidTxn;
-    /// (holder, µs) per resolved block of the current incarnation; folded
-    /// into the ledger at Complete, discarded at Restart — exactly the
-    /// lifecycle of ph_cc_block, so the blocked-µs identity is exact.
-    std::vector<std::pair<TxnId, SimTime>> blame_block_charges;
-    /// (aborter, µs) per restarted incarnation; whole-transaction, folded at
-    /// Complete — exactly the lifecycle of ph_wasted.
-    std::vector<std::pair<TxnId, SimTime>> blame_wasted_charges;
 
     /// Slot-reuse reset (TxnSlotMap recycling): restores the
     /// default-constructed state while keeping every buffer's capacity, so a
@@ -281,31 +248,18 @@ class ClosedSystem {
       grant_inflight = false;
       read_granules.clear();
       write_granules.clear();
-      cpu_used = 0;
-      disk_used = 0;
+      cost = IncarnationCost{};
       pending_event = kInvalidEventId;
-      ready_since = 0;
-      blocked_since = 0;
-      ph_ready = 0;
-      ph_restart_delay = 0;
-      ph_wasted = 0;
-      ph_cc_block = 0;
-      ph_cpu = 0;
-      ph_disk = 0;
-      ph_res_wait = 0;
-      ph_think = 0;
-      blame_opponent = kInvalidTxn;
-      blame_block_opponent = kInvalidTxn;
-      blame_block_charges.clear();
-      blame_wasted_charges.clear();
     }
   };
 
-  /// Why an incarnation restarted (observability: restarts by cause).
-  enum class RestartCause {
-    kWound,       ///< Chosen as a victim (deadlock or wound-wait).
-    kDecision,    ///< The cc algorithm answered kRestart to a request.
-    kValidation,  ///< Commit-point validation failed.
+  /// A cc request for one granule: a read-phase request (in write mode
+  /// under x_lock_on_read_intent when the object will be written) or a
+  /// write-phase upgrade.
+  struct CcRequest {
+    ObjectId granule = 0;
+    bool write_mode = false;
+    bool read_phase = false;
   };
 
   // Lifecycle.
@@ -316,13 +270,16 @@ class ClosedSystem {
   void NextStep(TxnId id);
   void IssueCcRequest(TxnId id);
   void HandleCcRequest(TxnId id);
+  /// Counts a cc decision and carries out a block or a restart; true only
+  /// for kGranted, when the caller goes on with the request.
+  bool ApplyDecision(Txn& txn, CCDecision decision);
   void StartAccess(TxnId id);
   /// CPU half of a read access (after the disk I/O, or directly on a buffer
   /// hit). Split out so resource completions capture five scalars at most
   /// and stay inside the ServiceCompletion inline buffer (res/server_pool.h).
   void StartReadCpu(TxnId id, int incarnation);
-  void AfterReadAccess(TxnId id, int incarnation);
-  void AfterWriteAccess(TxnId id, int incarnation);
+  /// Advances past the finished read or write-phase access.
+  void AfterAccess(TxnId id, int incarnation);
   void StartInternalThink(TxnId id);
   void BeginUpdates(TxnId id);
   void FlushGroupCommit();
@@ -335,13 +292,13 @@ class ClosedSystem {
   void OnGranted(TxnId id);
   void OnWound(TxnId id);
 
+  /// Live transactions by state, plus the ready queue and active count.
+  TxnCensus Census() const;
+
   // Auditing (no-ops unless config.audit is set).
   /// Monotonicity + conservation census at every lifecycle transition; every
   /// kAuditDeepCheckPeriod-th call also deep-checks the cc algorithm.
   void AuditTransition();
-  /// Cross-checks a newly blocked transaction against the algorithm's
-  /// waiter bookkeeping.
-  void AuditBlocked(TxnId id);
   /// Folds one cc-stream op into the replay digest.
   void AuditFold(AuditOp op, TxnId id, int64_t a, int64_t b);
 
@@ -351,32 +308,32 @@ class ClosedSystem {
   bool IsCurrent(TxnId id, int incarnation) const;
   bool NeedsInternalThink(const Txn& txn) const;
   double BootstrapResponseSeconds() const;
-  void Trace(const Txn& txn, TxnEvent event);
+  /// Books a finished service request into the cost of `id`'s current
+  /// incarnation, which must be `incarnation`: `service` µs into `field`,
+  /// and the rest of the time since `requested_at` as queueing.
+  void Charge(TxnId id, int incarnation, SimTime IncarnationCost::*field,
+              SimTime service, SimTime requested_at);
+  /// Hands one lifecycle record to every subscriber; `record` carries the
+  /// event's payload, Emit fills in the rest.
+  void Emit(const Txn& txn, TxnEvent event, TraceRecord record = {});
 
-  // Observability (no-ops / single branch unless config.obs.enabled).
-  /// Builds the registry, registers every layer's instruments, and opens
-  /// the Perfetto trace when configured. Called from the constructor.
+  // Observability (config.obs.enabled).
+  /// Builds the registry, registers every layer's instruments, and
+  /// subscribes the Perfetto tracer (when configured) and the phase/blame
+  /// view to the lifecycle stream. Called from the constructor.
   void SetupObservability();
-  /// Counts one cc decision into the granted/blocked/denied counters.
-  void CountDecision(CCDecision decision);
-  /// Charges `service` µs of service to a phase bucket and the difference
-  /// to resource_wait; `requested_at` is when the request entered the pool.
-  void ChargePhase(Txn& txn, SimTime Txn::* bucket, SimTime service,
-                   SimTime requested_at);
-  /// Finishes the sampler CSV/.gp and the trace.json (hard error on a
-  /// failed write). Called at the end of RunExperiment; idempotent.
+  /// Finishes the sampler CSV/.gp, the trace.json and the hot-granule CSV
+  /// (hard error on a failed write). Called at the end of RunExperiment;
+  /// idempotent.
   void FinishObsArtifacts();
-  /// cc on_blame callback (installed only when obs is on): stashes the
-  /// opponent on the victim and feeds the hot-granule sketch.
-  void OnBlame(TxnId victim, TxnId opponent, ObjectId obj, BlameKind kind);
-  /// Blocking-chain telemetry at a block site: records the waits-for edge,
-  /// samples the chain depth, and emits a Perfetto flow event when tracing.
-  void RecordBlockedEdge(TxnId id, SimTime now);
 
   /// The cc granule covering `obj`.
   ObjectId GranuleOf(ObjectId obj) const {
     return obj / config_.lock_granule_size;
   }
+  /// The cc request the transaction's next step issues; nullopt at the
+  /// commit point, whose request is validation.
+  std::optional<CcRequest> NextRequest(const Txn& txn) const;
   /// True if the upcoming request's granule is already covered, so the cc
   /// request can be skipped entirely.
   bool GranuleAlreadyCovered(const Txn& txn) const;
@@ -406,13 +363,15 @@ class ClosedSystem {
   int active_count_ = 0;
   TimeWeightedValue active_mpl_;
 
-  // Batch-window counters.
-  int64_t batch_commits_ = 0;
-  int64_t batch_blocks_ = 0;
-  int64_t batch_restarts_ = 0;
-  SimTime batch_useful_cpu_ = 0;
-  SimTime batch_useful_disk_ = 0;
-  Welford batch_response_;
+  /// Batch-window counters; reset at every batch boundary.
+  struct BatchWindow {
+    int64_t commits = 0;
+    int64_t blocks = 0;
+    int64_t restarts = 0;
+    SimTime useful_cpu = 0;
+    SimTime useful_disk = 0;
+    Welford response;
+  } batch_;
 
   // Measurement-period accumulators.
   int64_t measured_commits_ = 0;
@@ -433,54 +392,26 @@ class ClosedSystem {
   /// Lifetime commits per terminal (kClosed) — the liveness oracle's view.
   std::vector<int64_t> terminal_commits_;
 
-  // Batch-means estimators.
-  BatchMeans throughput_bm_;
-  BatchMeans response_bm_;
-  BatchMeans block_ratio_bm_;
-  BatchMeans restart_ratio_bm_;
-  BatchMeans disk_total_bm_;
-  BatchMeans disk_useful_bm_;
-  BatchMeans cpu_total_bm_;
-  BatchMeans cpu_useful_bm_;
-  BatchMeans log_bm_;
+  /// Batch-means estimators over the measurement period.
+  struct Estimators {
+    BatchMeans throughput, response, block_ratio, restart_ratio;
+    BatchMeans disk_total, disk_useful, cpu_total, cpu_useful, log;
+  } bm_;
 
   HistoryRecorder history_;
-  TraceSink* trace_ = nullptr;
   std::unique_ptr<Auditor> auditor_;
   int64_t audit_transitions_ = 0;
 
-  // Observability (all null / zero when config.obs.enabled is false).
-  bool obs_on_ = false;
+  /// Lifecycle-stream subscribers, in emit order: config.lifecycle_sink,
+  /// perfetto_, obs_. Fixed at construction, except that perfetto_ leaves
+  /// when its trace file is finished.
+  std::vector<TraceSink*> subscribers_;
+  // Observability (all null when config.obs.enabled is false).
   std::unique_ptr<StatsRegistry> registry_;
+  std::unique_ptr<LifecycleStats> obs_;
   std::unique_ptr<TraceEventWriter> trace_writer_;
   std::unique_ptr<EngineTracer> perfetto_;
   std::unique_ptr<TimeSeriesSampler> sampler_;
-  ObsCounter* ctr_commits_ = nullptr;
-  ObsCounter* ctr_restarts_wound_ = nullptr;
-  ObsCounter* ctr_restarts_decision_ = nullptr;
-  ObsCounter* ctr_restarts_validation_ = nullptr;
-  ObsCounter* ctr_cc_granted_ = nullptr;
-  ObsCounter* ctr_cc_blocked_ = nullptr;
-  ObsCounter* ctr_cc_denied_ = nullptr;
-  ObsCounter* ctr_wasted_cpu_us_ = nullptr;
-  ObsCounter* ctr_wasted_disk_us_ = nullptr;
-  /// Measurement-window phase sums (µs); reset with the other measurement
-  /// accumulators, folded per commit, reported as means over commits.
-  struct PhaseSums {
-    SimTime ready = 0, restart_delay = 0, wasted = 0;
-    SimTime cc_block = 0, cpu = 0, disk = 0, res_wait = 0, think = 0;
-    SimTime other = 0;
-  } phase_sums_;
-  /// Blame aggregation over the measurement window (obs/blame.h); reset with
-  /// the other measurement accumulators, folded per commit at Complete.
-  BlameLedger blame_ledger_;
-  /// Hot-granule conflict sketch; null unless obs is on.
-  std::unique_ptr<ContentionProfiler> contention_;
-  /// Observability-only waits-for edges (victim -> opponent) for chain-depth
-  /// sampling; never consulted by any scheduling or cc decision.
-  TxnSlotMap<TxnId> waits_for_obs_;
-  Histogram* chain_depth_hist_ = nullptr;
-  Histogram* genealogy_hist_ = nullptr;
   ProgressCell* progress_ = nullptr;
 
   /// Transactions whose commit records await the next group-commit flush

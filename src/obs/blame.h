@@ -2,8 +2,8 @@
 //
 // The phase breakdown (obs/phase.h) says *where* response time goes; blame
 // says *who made it go there*. Every conflict the cc layer resolves fires
-// CCCallbacks::on_blame naming the opposing transaction; the engine charges
-// the resulting delay to that opponent:
+// CCCallbacks::on_blame naming the opposing transaction; the lifecycle view
+// (obs/lifecycle_stats.h) charges the resulting delay to that opponent:
 //
 //   * wasted-µs charged to aborters — each restarted incarnation's lifetime
 //     (the integer µs the phase breakdown books as `wasted`) is charged to
@@ -21,14 +21,12 @@
 //   wasted_attributed_us + wasted_unattributed_us == wasted_us
 //   blocked_attributed_us + blocked_unattributed_us == blocked_us
 //
-// where wasted_us/blocked_us are the engine's integer phase sums (the same
-// numbers `phases.wasted` / `phases.cc_block` report as per-commit means).
+// where wasted_us/blocked_us are the integer phase sums (the same numbers
+// `phases.wasted` / `phases.cc_block` report as per-commit means).
 #ifndef CCSIM_OBS_BLAME_H_
 #define CCSIM_OBS_BLAME_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "cc/types.h"
 
@@ -39,8 +37,8 @@ namespace ccsim {
 struct BlameBreakdown {
   bool collected = false;
 
-  // Integer-µs totals (exact copies of the engine's phase sums over
-  // measured commits; the per-commit means appear in `phases`).
+  // Integer-µs totals (exact copies of the phase sums over measured
+  // commits; the per-commit means appear in `phases`).
   int64_t wasted_us = 0;   ///< Total wasted incarnation time.
   int64_t blocked_us = 0;  ///< Total cc-block time of committed incarnations.
 
@@ -64,44 +62,6 @@ struct BlameBreakdown {
   TxnId top_holder = kInvalidTxn;         ///< Charged the most blocked µs.
   int64_t top_holder_blocked_us = 0;
   bool operator==(const BlameBreakdown&) const = default;
-};
-
-/// Engine-side accumulator. The engine records one Charge* per conflict on
-/// the victim transaction and folds the victim's charges here when the
-/// victim commits inside the measurement window (core/closed_system.cc).
-class BlameLedger {
- public:
-  /// One restarted incarnation's lifetime, charged to `aborter`
-  /// (kInvalidTxn = unattributed).
-  void ChargeWasted(TxnId aborter, int64_t us);
-
-  /// One resolved block's duration, charged to `holder`.
-  void ChargeBlocked(TxnId holder, int64_t us);
-
-  /// One measured commit burned `incarnations` incarnations.
-  void AddGenealogy(int64_t incarnations);
-
-  /// Clears everything (measurement reset).
-  void Reset();
-
-  /// Snapshots the aggregates. `wasted_total_us` / `blocked_total_us` are
-  /// the engine's integer phase sums; Finish derives the unattributed
-  /// remainders from them so the conservation identity holds by
-  /// construction *iff* every charge was also booked as phase time (the
-  /// tests assert the remainders are non-negative).
-  BlameBreakdown Finish(int64_t wasted_total_us,
-                        int64_t blocked_total_us) const;
-
- private:
-  int64_t wasted_attributed_us_ = 0;
-  int64_t blocked_attributed_us_ = 0;
-  int64_t restarts_charged_ = 0;
-  int64_t blocks_charged_ = 0;
-  int64_t genealogy_sum_ = 0;
-  int64_t genealogy_max_ = 0;
-  int64_t genealogy_count_ = 0;
-  std::unordered_map<TxnId, int64_t> wasted_by_aborter_;
-  std::unordered_map<TxnId, int64_t> blocked_by_holder_;
 };
 
 }  // namespace ccsim

@@ -1,5 +1,6 @@
 #include "obs/engine_tracer.h"
 
+#include "obs/lifecycle_stats.h"
 #include "util/str.h"
 
 namespace ccsim {
@@ -9,7 +10,9 @@ constexpr int kTxnPid = 1;
 constexpr int kServerPid = 2;
 }  // namespace
 
-EngineTracer::EngineTracer(TraceEventWriter* out) : out_(out) {
+EngineTracer::EngineTracer(TraceEventWriter* out,
+                           const LifecycleStats* blame)
+    : out_(out), blame_(blame) {
   out_->NameProcess(kTxnPid, "transactions");
   out_->NameProcess(kServerPid, "servers");
 }
@@ -42,9 +45,15 @@ void EngineTracer::Record(const TraceRecord& record) {
       track.incarnation = record.incarnation;
       track.incarnation_start = record.time;
       break;
-    case TxnEvent::kBlocked:
+    case TxnEvent::kBlocked: {
       track.blocked_since = record.time;
+      const TxnId blocker =
+          blame_ == nullptr ? kInvalidTxn : blame_->BlockedBehind(record.txn);
+      if (blocker != kInvalidTxn && blocker != record.txn) {
+        DrawWaitsFor(record.txn, blocker, record.time);
+      }
       break;
+    }
     case TxnEvent::kResumed:
       CloseBlocked(track, record.txn, record.time);
       break;
@@ -73,7 +82,7 @@ void EngineTracer::Record(const TraceRecord& record) {
   }
 }
 
-void EngineTracer::OnBlockedBy(TxnId blockee, TxnId blocker, SimTime time) {
+void EngineTracer::DrawWaitsFor(TxnId blockee, TxnId blocker, SimTime time) {
   TrackFor(blocker);
   TrackFor(blockee);
   // One arrow per block event; both halves share the id. The start sits on

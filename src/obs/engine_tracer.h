@@ -10,7 +10,10 @@
 //     tracking wait-queue depth.
 //
 // Slices are emitted when they *close* (commit/restart/resume), which the
-// trace-event format explicitly permits: viewers sort by timestamp.
+// trace-event format explicitly permits: viewers sort by timestamp. Each
+// block whose holder the cc algorithm named (LifecycleStats::BlockedBehind)
+// also gets a "waits-for" flow arrow from the holder's slice to the blocked
+// slice.
 #ifndef CCSIM_OBS_ENGINE_TRACER_H_
 #define CCSIM_OBS_ENGINE_TRACER_H_
 
@@ -24,9 +27,12 @@
 
 namespace ccsim {
 
+class LifecycleStats;
+
 class EngineTracer : public TraceSink, public ServiceSpanSink {
  public:
-  explicit EngineTracer(TraceEventWriter* out);
+  /// `blame` (not owned; may be null) names the holder behind each block.
+  EngineTracer(TraceEventWriter* out, const LifecycleStats* blame);
 
   // TraceSink — transaction lifecycle.
   void Record(const TraceRecord& record) override;
@@ -40,11 +46,6 @@ class EngineTracer : public TraceSink, public ServiceSpanSink {
   /// drains, so most transactions are mid-flight when the run stops).
   void FlushOpen(SimTime end_time);
 
-  /// Blame hook: draws a waits-for flow arrow from `blocker`'s slice to the
-  /// "blocked" slice `blockee` opens at `time` (called by the engine at
-  /// each attributed block).
-  void OnBlockedBy(TxnId blockee, TxnId blocker, SimTime time);
-
  private:
   struct TxnTrack {
     bool named = false;
@@ -56,8 +57,12 @@ class EngineTracer : public TraceSink, public ServiceSpanSink {
 
   TxnTrack& TrackFor(TxnId txn);
   void CloseBlocked(TxnTrack& track, TxnId txn, SimTime now);
+  /// Draws a waits-for flow arrow from `blocker`'s slice to the "blocked"
+  /// slice `blockee` opens at `time`.
+  void DrawWaitsFor(TxnId blockee, TxnId blocker, SimTime time);
 
   TraceEventWriter* out_;
+  const LifecycleStats* blame_;
   std::unordered_map<TxnId, TxnTrack> txns_;
   std::vector<std::string> server_tracks_;
   uint64_t next_flow_id_ = 0;

@@ -1,11 +1,14 @@
-// Transaction lifecycle tracing.
+// The transaction lifecycle stream.
 //
-// When a sink is attached, the engine emits one record per lifecycle event:
-// submission, activation, block, resume, internal think, restart, commit.
-// Traces serve debugging (StreamTraceSink renders a readable log) and
-// testing (MemoryTraceSink lets tests assert that every transaction's event
-// sequence is well-formed). Tracing is off by default and costs one null
-// check per event when disabled.
+// The engine emits one record per lifecycle event — submission, activation,
+// block, resume, internal think, restart, commit — to a subscriber list
+// fixed at construction (core/closed_system.h): the configured lifecycle
+// sink, the Perfetto tracer (obs/engine_tracer.h) and the phase/blame view
+// (obs/lifecycle_stats.h). Every subscriber is a TraceSink. The stream
+// serves debugging (StreamTraceSink renders a readable log), testing
+// (MemoryTraceSink lets tests assert that every transaction's event
+// sequence is well-formed) and every per-transaction observability view.
+// With no subscriber an event costs one branch.
 #ifndef CCSIM_OBS_TRACE_H_
 #define CCSIM_OBS_TRACE_H_
 
@@ -31,14 +34,35 @@ enum class TxnEvent {
 /// Stable display name for an event.
 const char* TxnEventName(TxnEvent event);
 
+/// Why an incarnation restarted.
+enum class RestartCause {
+  kWound,       ///< Chosen as a victim (deadlock or wound-wait).
+  kDecision,    ///< The cc algorithm answered kRestart to a request.
+  kValidation,  ///< Commit-point validation failed.
+};
+
+/// Service one incarnation received and its queueing for it, in µs.
+struct IncarnationCost {
+  SimTime cpu = 0;     ///< CPU service (object and cc processing).
+  SimTime disk = 0;    ///< Data-disk service (reads, deferred updates).
+  SimTime log = 0;     ///< Log-disk service (a commit record's own write).
+  SimTime queued = 0;  ///< Waiting in the CPU, disk and log queues.
+};
+
 struct TraceRecord {
   SimTime time = 0;
   TxnId txn = kInvalidTxn;
   int incarnation = 0;
   TxnEvent event = TxnEvent::kSubmitted;
+  // Payload: set only on the events named, default elsewhere.
+  RestartCause cause = RestartCause::kWound;  ///< kRestarted.
+  SimTime restart_delay = 0;  ///< kRestarted: wait before the ready queue.
+  SimTime think = 0;          ///< kInternalThink: length of the think.
+  IncarnationCost cost{};     ///< kRestarted, kCommitted: the ending
+                              ///< incarnation's service and queueing.
 };
 
-/// Receives every lifecycle record.
+/// Receives every lifecycle record (a lifecycle-stream subscriber).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -106,10 +106,9 @@ struct WorkloadParams {
   /// are ids [0, HotSetSize()).
   int64_t HotSetSize() const;
 
-  /// Applies `key=value` overrides from a Config; recognized keys match the
-  /// paper's parameter names (db_size, tran_size, min_size, max_size,
-  /// write_prob, num_terms, mpl, ext_think_time, int_think_time, obj_io,
-  /// obj_cpu, cc_cpu; times in seconds except obj_io/obj_cpu/cc_cpu in ms).
+  /// Applies `key=value` overrides from a Config. `run_config --help` lists
+  /// the recognized keys (KnownKeys() in examples/run_config.cpp is the one
+  /// list); times are in seconds except the `*_ms` keys.
   void ApplyConfig(const Config& config);
 };
 

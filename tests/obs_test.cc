@@ -276,10 +276,10 @@ TEST(PhaseBreakdownTest, BucketsSumToPopulationResponseMean) {
   // and the phase identity (obs/phase.h) must hold at the population level.
   EngineConfig config = ContendedConfig();
   config.obs.enabled = true;
+  MemoryTraceSink sink;
+  config.lifecycle_sink = &sink;
   Simulator sim;
   ClosedSystem system(&sim, config);
-  MemoryTraceSink sink;
-  system.SetTraceSink(&sink);
   MetricsReport report =
       system.RunExperiment(/*batches=*/2, /*batch_length=*/6 * kSecond,
                            /*warmup=*/0);
