@@ -5,12 +5,17 @@
 // paper's "open problem" extension.
 //
 //   ./adaptive_mpl_demo [key=value ...]   e.g. start_mpl=200 interval=20
+//
+// Besides the config keys `run_config --help` lists (run lengths excepted:
+// the demo runs to `horizon`), it reads start_mpl, algorithm, interval and
+// horizon (seconds), min_mpl and step.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/adaptive_mpl.h"
 #include "core/closed_system.h"
+#include "core/config_fields.h"
 #include "sim/simulator.h"
 #include "util/config.h"
 #include "util/str.h"
@@ -18,34 +23,35 @@
 int main(int argc, char** argv) {
   ccsim::Config config;
   std::string error;
-  if (!config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc),
-                        &error)) {
-    std::cerr << "usage: adaptive_mpl_demo [key=value ...]\n" << error << "\n";
-    return 1;
-  }
-
   ccsim::EngineConfig engine_config;
-  engine_config.workload.ApplyConfig(config);
-  engine_config.workload.mpl =
-      static_cast<int>(config.GetIntOr("start_mpl", 200));
-  engine_config.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
-  engine_config.algorithm = config.GetStringOr("algorithm", "blocking");
-  engine_config.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
-
-  ccsim::SimTime interval =
-      ccsim::FromSeconds(config.GetDoubleOr("interval", 30.0));
-  double horizon_s = config.GetDoubleOr("horizon", 900.0);
+  engine_config.workload.mpl = 200;  // The bad start; start_mpl= or mpl=.
+  double interval_s = 30.0;
+  double horizon_s = 900.0;
+  ccsim::AdaptiveMplController::Options options;
+  options.min_mpl = 5;
+  options.step = 10;
+  const ccsim::OwnKey own_keys[] = {
+      {"start_mpl", &engine_config.workload.mpl},
+      {"algorithm", &engine_config.algorithm}, {"interval", &interval_s},
+      {"horizon", &horizon_s}, {"min_mpl", &options.min_mpl},
+      {"step", &options.step}};
+  ccsim::Status status =
+      config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
+          ? ccsim::ApplyConfigOverrides(config, &engine_config, nullptr,
+                                        own_keys)
+          : ccsim::Status::InvalidArgument(error);
+  if (!status.ok()) {
+    std::cerr << "usage: adaptive_mpl_demo [key=value ...]\n"
+              << status.message() << "\n";
+    return 2;
+  }
+  const ccsim::SimTime interval = ccsim::FromSeconds(interval_s);
 
   ccsim::Simulator sim;
   ccsim::ClosedSystem system(&sim, engine_config);
 
-  ccsim::AdaptiveMplController::Options options;
   options.interval = interval;
-  options.min_mpl = static_cast<int>(config.GetIntOr("min_mpl", 5));
   options.max_mpl = engine_config.workload.mpl;
-  options.step = static_cast<int>(config.GetIntOr("step", 10));
   ccsim::AdaptiveMplController controller(&sim, &system, options);
 
   std::cout << "Adaptive mpl control: " << engine_config.algorithm

@@ -4,6 +4,9 @@
 //
 //   ./capacity_planning [key=value ...]   e.g. write_prob=0.5 db_size=500
 //
+// Keys are the config keys `run_config --help` lists; the hardware and the
+// mpl are swept here.
+//
 // For each hardware configuration, finds each algorithm's best throughput
 // across the mpl sweep — the operating point a well-tuned system would run
 // at — and reports the winner and the resource cost of the win.
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "analytic/mva.h"
+#include "core/config_fields.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "util/config.h"
@@ -20,23 +24,18 @@
 int main(int argc, char** argv) {
   ccsim::Config config;
   std::string error;
-  if (!config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc),
-                        &error)) {
-    std::cerr << "usage: capacity_planning [key=value ...]\n" << error << "\n";
-    return 1;
-  }
-
   ccsim::EngineConfig base;
-  base.workload.ApplyConfig(config);
-  base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
-
-  ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv([] {
-    ccsim::RunLengths defaults;
-    defaults.batches = 6;
-    defaults.batch_length = ccsim::FromSeconds(15);
-    defaults.warmup = ccsim::FromSeconds(30);
-    return defaults;
-  }());
+  ccsim::RunLengths lengths{6, 15 * ccsim::kSecond, 30 * ccsim::kSecond};
+  ccsim::Status status =
+      config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
+          ? ccsim::ApplyConfigOverrides(config, &base, &lengths)
+          : ccsim::Status::InvalidArgument(error);
+  if (!status.ok()) {
+    std::cerr << "usage: capacity_planning [key=value ...]\n"
+              << status.message() << "\n";
+    return 2;
+  }
+  lengths = ccsim::RunLengths::FromEnv(lengths);
 
   struct Hardware {
     int cpus, disks;

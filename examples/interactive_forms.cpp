@@ -6,10 +6,12 @@
 //   ./interactive_forms [key=value ...]    e.g. mpl=50 num_cpus=1 num_disks=2
 //
 // Sweeps the internal think time and reports the winner at each setting.
+// Keys are the config keys `run_config --help` lists.
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/config_fields.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "util/config.h"
@@ -18,27 +20,18 @@
 int main(int argc, char** argv) {
   ccsim::Config config;
   std::string error;
-  if (!config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc),
-                        &error)) {
-    std::cerr << "usage: interactive_forms [key=value ...]\n" << error << "\n";
-    return 1;
-  }
-
   ccsim::EngineConfig base;
-  base.workload.mpl = static_cast<int>(config.GetIntOr("mpl", 50));
-  base.workload.ApplyConfig(config);
-  base.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
-  base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
-
-  ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv([] {
-    ccsim::RunLengths defaults;
-    defaults.batches = 8;
-    defaults.batch_length = ccsim::FromSeconds(30);
-    defaults.warmup = ccsim::FromSeconds(60);
-    return defaults;
-  }());
+  ccsim::RunLengths lengths{8, 30 * ccsim::kSecond, 60 * ccsim::kSecond};
+  ccsim::Status status =
+      config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
+          ? ccsim::ApplyConfigOverrides(config, &base, &lengths)
+          : ccsim::Status::InvalidArgument(error);
+  if (!status.ok()) {
+    std::cerr << "usage: interactive_forms [key=value ...]\n"
+              << status.message() << "\n";
+    return 2;
+  }
+  lengths = ccsim::RunLengths::FromEnv(lengths);
 
   // Internal/external think pairs keep the thinking:active ratio roughly
   // fixed, as in the paper's Experiment 5.

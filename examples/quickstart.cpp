@@ -4,12 +4,15 @@
 //
 //   ./quickstart [key=value ...]
 //
-// Any workload parameter can be overridden on the command line, e.g.
+// Any config key (`run_config --help` lists them) can be overridden on the
+// command line, e.g.
 //   ./quickstart mpl=25 write_prob=0.5 db_size=5000
+// A key that is not a config key, or a value that does not parse, exits 2.
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/config_fields.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "util/config.h"
@@ -17,21 +20,19 @@
 int main(int argc, char** argv) {
   ccsim::Config config;
   std::string error;
-  if (!config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc),
-                        &error)) {
-    std::cerr << "usage: quickstart [key=value ...]\n" << error << "\n";
-    return 1;
-  }
-
   ccsim::EngineConfig base;
   base.workload.mpl = 25;  // A sensible default; override with mpl=N.
-  base.workload.ApplyConfig(config);
-  base.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
-  base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
-
-  ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv(ccsim::RunLengths{});
+  ccsim::RunLengths lengths;
+  ccsim::Status status =
+      config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
+          ? ccsim::ApplyConfigOverrides(config, &base, &lengths)
+          : ccsim::Status::InvalidArgument(error);
+  if (!status.ok()) {
+    std::cerr << "usage: quickstart [key=value ...]\n" << status.message()
+              << "\n";
+    return 2;
+  }
+  lengths = ccsim::RunLengths::FromEnv(lengths);
 
   std::vector<ccsim::MetricsReport> reports;
   for (const std::string& algorithm : ccsim::PaperAlgorithms()) {

@@ -11,9 +11,10 @@
 // an uninterrupted run (the resume test proves it).
 //
 // Keying: a point is identified by (HashPointKey(config, lengths), seed).
-// The hash folds every semantically meaningful EngineConfig and RunLengths
-// field, so changing any parameter — or the run lengths — invalidates reuse
-// for that point while leaving unrelated entries usable. The per-point seed
+// The hash folds every EngineConfig and RunLengths field of the config
+// table (core/config_fields.h) except the seed, so changing any parameter —
+// or the run lengths — invalidates reuse for that point while leaving
+// unrelated entries usable. The per-point seed
 // participates separately because sweeps derive it from the master seed and
 // the point's position (core/experiment.h).
 //
@@ -38,9 +39,9 @@
 
 namespace ccsim {
 
-/// FNV-1a hash over every run-relevant field of (config, lengths), seed
-/// excluded (it keys separately). Stable across processes on the same build;
-/// not guaranteed stable across code versions that add config fields.
+/// FNV-1a hash over the folding rows of the config table, in table order
+/// (the seed keys separately). Stable across processes on the same build;
+/// a code version that adds a folding row changes every key.
 uint64_t HashPointKey(const EngineConfig& config, const RunLengths& lengths);
 
 /// The journal: an in-memory index over a JSON-lines file, with flushed

@@ -1,6 +1,5 @@
 #include "util/config.h"
 
-#include "util/check.h"
 #include "util/str.h"
 
 namespace ccsim {
@@ -55,50 +54,6 @@ std::optional<std::string> Config::GetString(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<int64_t> Config::GetInt(const std::string& key) const {
-  auto raw = GetString(key);
-  if (!raw.has_value()) return std::nullopt;
-  auto parsed = ParseInt(*raw);
-  CCSIM_CHECK(parsed.has_value()) << "config key " << key << " = \"" << *raw
-                                  << "\" is not an integer";
-  return parsed;
-}
-
-std::optional<double> Config::GetDouble(const std::string& key) const {
-  auto raw = GetString(key);
-  if (!raw.has_value()) return std::nullopt;
-  auto parsed = ParseDouble(*raw);
-  CCSIM_CHECK(parsed.has_value()) << "config key " << key << " = \"" << *raw
-                                  << "\" is not a number";
-  return parsed;
-}
-
-std::optional<bool> Config::GetBool(const std::string& key) const {
-  auto raw = GetString(key);
-  if (!raw.has_value()) return std::nullopt;
-  auto parsed = ParseBool(*raw);
-  CCSIM_CHECK(parsed.has_value()) << "config key " << key << " = \"" << *raw
-                                  << "\" is not a boolean";
-  return parsed;
-}
-
-int64_t Config::GetIntOr(const std::string& key, int64_t fallback) const {
-  return GetInt(key).value_or(fallback);
-}
-
-double Config::GetDoubleOr(const std::string& key, double fallback) const {
-  return GetDouble(key).value_or(fallback);
-}
-
-bool Config::GetBoolOr(const std::string& key, bool fallback) const {
-  return GetBool(key).value_or(fallback);
-}
-
-std::string Config::GetStringOr(const std::string& key,
-                                const std::string& fallback) const {
-  return GetString(key).value_or(fallback);
 }
 
 }  // namespace ccsim

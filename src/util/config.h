@@ -14,7 +14,7 @@
 
 namespace ccsim {
 
-/// A flat string-to-string configuration with typed accessors.
+/// A flat string-to-string configuration.
 class Config {
  public:
   Config() = default;
@@ -32,18 +32,9 @@ class Config {
 
   bool Has(const std::string& key) const;
 
-  /// Typed getters return nullopt when the key is absent; they abort via
-  /// CCSIM_CHECK if the key is present but malformed, because a silently
-  /// ignored parameter invalidates an experiment.
+  /// The raw value of `key`, or nullopt when absent. Typed parsing of
+  /// values is core/config_fields.h's job.
   std::optional<std::string> GetString(const std::string& key) const;
-  std::optional<int64_t> GetInt(const std::string& key) const;
-  std::optional<double> GetDouble(const std::string& key) const;
-  std::optional<bool> GetBool(const std::string& key) const;
-
-  int64_t GetIntOr(const std::string& key, int64_t fallback) const;
-  double GetDoubleOr(const std::string& key, double fallback) const;
-  bool GetBoolOr(const std::string& key, bool fallback) const;
-  std::string GetStringOr(const std::string& key, const std::string& fallback) const;
 
   const std::map<std::string, std::string>& entries() const { return entries_; }
 

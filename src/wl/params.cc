@@ -78,27 +78,4 @@ int64_t WorkloadParams::HotSetSize() const {
   return hot < 1 ? 1 : hot;
 }
 
-void WorkloadParams::ApplyConfig(const Config& config) {
-  db_size = config.GetIntOr("db_size", db_size);
-  tran_size = static_cast<int>(config.GetIntOr("tran_size", tran_size));
-  min_size = static_cast<int>(config.GetIntOr("min_size", min_size));
-  max_size = static_cast<int>(config.GetIntOr("max_size", max_size));
-  write_prob = config.GetDoubleOr("write_prob", write_prob);
-  num_terms = static_cast<int>(config.GetIntOr("num_terms", num_terms));
-  mpl = static_cast<int>(config.GetIntOr("mpl", mpl));
-  ext_think_time =
-      FromSeconds(config.GetDoubleOr("ext_think_time", ToSeconds(ext_think_time)));
-  int_think_time =
-      FromSeconds(config.GetDoubleOr("int_think_time", ToSeconds(int_think_time)));
-  obj_io = FromMillis(config.GetDoubleOr("obj_io_ms", ToSeconds(obj_io) * 1e3));
-  obj_cpu = FromMillis(config.GetDoubleOr("obj_cpu_ms", ToSeconds(obj_cpu) * 1e3));
-  cc_cpu = FromMillis(config.GetDoubleOr("cc_cpu_ms", ToSeconds(cc_cpu) * 1e3));
-  hot_fraction_db = config.GetDoubleOr("hot_fraction_db", hot_fraction_db);
-  hot_access_prob = config.GetDoubleOr("hot_access_prob", hot_access_prob);
-  read_only_fraction =
-      config.GetDoubleOr("read_only_fraction", read_only_fraction);
-  buffer_hit_prob = config.GetDoubleOr("buffer_hit_prob", buffer_hit_prob);
-  log_io = FromMillis(config.GetDoubleOr("log_io_ms", ToSeconds(log_io) * 1e3));
-}
-
 }  // namespace ccsim

@@ -5,6 +5,11 @@
 // terminals, 1 second mean external think time, 35 ms object I/O and 15 ms
 // object CPU. The multiprogramming level and the resource configuration are
 // the quantities each experiment sweeps.
+//
+// Programs set these from key=value overrides through the config table
+// (core/config_fields.h), which also folds them into the journal point key;
+// `run_config --help` lists the keys. Times are keyed in seconds, except
+// the `*_ms` keys.
 #ifndef CCSIM_WL_PARAMS_H_
 #define CCSIM_WL_PARAMS_H_
 
@@ -13,7 +18,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "util/config.h"
 
 namespace ccsim {
 
@@ -105,11 +109,6 @@ struct WorkloadParams {
   /// Number of objects in the hot set (0 when skew is disabled); hot objects
   /// are ids [0, HotSetSize()).
   int64_t HotSetSize() const;
-
-  /// Applies `key=value` overrides from a Config. `run_config --help` lists
-  /// the recognized keys (KnownKeys() in examples/run_config.cpp is the one
-  /// list); times are in seconds except the `*_ms` keys.
-  void ApplyConfig(const Config& config);
 };
 
 }  // namespace ccsim

@@ -101,16 +101,16 @@ TEST(ConfigTest, ParseTextBasic) {
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseText("a = 1\nb=hello\n# comment\n\nc = 2.5", &error));
-  EXPECT_EQ(config.GetInt("a").value(), 1);
+  EXPECT_EQ(config.GetString("a").value(), "1");
   EXPECT_EQ(config.GetString("b").value(), "hello");
-  EXPECT_DOUBLE_EQ(config.GetDouble("c").value(), 2.5);
+  EXPECT_EQ(config.GetString("c").value(), "2.5");
 }
 
 TEST(ConfigTest, ParseTextInlineComment) {
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseText("a = 1 # trailing", &error));
-  EXPECT_EQ(config.GetInt("a").value(), 1);
+  EXPECT_EQ(config.GetString("a").value(), "1");
 }
 
 TEST(ConfigTest, ParseTextMalformed) {
@@ -124,8 +124,8 @@ TEST(ConfigTest, ParseArgs) {
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseArgs({"mpl=25", "write_prob=0.5"}, &error));
-  EXPECT_EQ(config.GetInt("mpl").value(), 25);
-  EXPECT_DOUBLE_EQ(config.GetDouble("write_prob").value(), 0.5);
+  EXPECT_EQ(config.GetString("mpl").value(), "25");
+  EXPECT_EQ(config.GetString("write_prob").value(), "0.5");
 }
 
 TEST(ConfigTest, ParseArgsMalformed) {
@@ -136,18 +136,15 @@ TEST(ConfigTest, ParseArgsMalformed) {
 
 TEST(ConfigTest, MissingKeysReturnNullopt) {
   Config config;
-  EXPECT_FALSE(config.GetInt("absent").has_value());
-  EXPECT_EQ(config.GetIntOr("absent", 9), 9);
-  EXPECT_DOUBLE_EQ(config.GetDoubleOr("absent", 1.5), 1.5);
-  EXPECT_EQ(config.GetStringOr("absent", "dflt"), "dflt");
-  EXPECT_TRUE(config.GetBoolOr("absent", true));
+  EXPECT_FALSE(config.GetString("absent").has_value());
+  EXPECT_FALSE(config.Has("absent"));
 }
 
 TEST(ConfigTest, LastSetWins) {
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseArgs({"k=1", "k=2"}, &error));
-  EXPECT_EQ(config.GetInt("k").value(), 2);
+  EXPECT_EQ(config.GetString("k").value(), "2");
 }
 
 TEST(CsvTest, WritesQuotedFields) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config_fields.h"
 #include "util/config.h"
 #include "wl/params.h"
 #include "wl/workload.h"
@@ -29,13 +30,15 @@ TEST(ParamsTest, PaperDefaultsMatchTable2) {
 }
 
 TEST(ParamsTest, ApplyConfigOverrides) {
-  WorkloadParams p;
+  EngineConfig engine;
+  RunLengths lengths;
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseArgs({"db_size=10000", "mpl=75", "write_prob=0.5",
                                 "int_think_time=5", "obj_io_ms=20"},
                                &error));
-  p.ApplyConfig(config);
+  ASSERT_TRUE(ApplyConfigOverrides(config, &engine, &lengths).ok());
+  const WorkloadParams& p = engine.workload;
   EXPECT_EQ(p.db_size, 10000);
   EXPECT_EQ(p.mpl, 75);
   EXPECT_DOUBLE_EQ(p.write_prob, 0.5);
@@ -334,13 +337,15 @@ TEST(ParamsDeathTest, HotSetMustFitLargestTransaction) {
 }
 
 TEST(ParamsTest, SkewKeysApplyFromConfig) {
-  WorkloadParams p;
+  EngineConfig engine;
+  RunLengths lengths;
   Config config;
   std::string error;
   ASSERT_TRUE(config.ParseArgs({"hot_fraction_db=0.2", "hot_access_prob=0.8",
                                 "read_only_fraction=0.5"},
                                &error));
-  p.ApplyConfig(config);
+  ASSERT_TRUE(ApplyConfigOverrides(config, &engine, &lengths).ok());
+  const WorkloadParams& p = engine.workload;
   EXPECT_DOUBLE_EQ(p.hot_fraction_db, 0.2);
   EXPECT_DOUBLE_EQ(p.hot_access_prob, 0.8);
   EXPECT_DOUBLE_EQ(p.read_only_fraction, 0.5);
