@@ -32,12 +32,13 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -45,6 +46,8 @@
 #include "cc/lock_manager.h"
 #include "sim/simulator.h"
 #include "util/env.h"
+#include "util/json.h"
+#include "util/str.h"
 
 namespace {
 
@@ -60,6 +63,32 @@ using ccsim::Simulator;
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// BENCH_sim.json is built from JSON texts: one object per section, its
+// members in insertion order.
+using Members = std::vector<std::pair<std::string, std::string>>;
+
+/// The object on one line (depth 0), or one member per line at `depth`.
+std::string Object(const Members& members, int depth = 0) {
+  const auto indent = [](int n) { return "\n" + std::string(2 * n, ' '); };
+  std::string out = "{";
+  for (const auto& [key, value] : members) {
+    out += (out.size() > 1 ? "," : "") + (depth ? indent(depth) : " ") +
+           ccsim::json::Quote(key) + ": " + value;
+  }
+  return out + (depth ? indent(depth - 1) : " ") + "}";
+}
+
+/// A rate, rounded to a whole number per second.
+std::string Rate(double per_sec) {
+  return std::to_string(std::llround(per_sec));
+}
+
+std::string Real(double value) {
+  std::string out;
+  ccsim::json::AppendDouble(&out, value);
+  return out;
 }
 
 struct ChurnResult {
@@ -486,66 +515,49 @@ int main(int argc, char** argv) {
     std::cerr << "[micro_kernel] FAILED to open " << out_path << "\n";
     return 1;
   }
-  // cc_decision section: one entry per algorithm, composed separately (nine
-  // entries overflow a comfortable single format string).
-  std::string cc_json;
-  for (size_t i = 0; i < decisions.size(); ++i) {
-    const CcDecisionResult& r = decisions[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    \"%s\": { \"decisions_per_sec\": %.0f, "
-                  "\"commits\": %lld, \"restarts\": %lld }%s\n",
-                  r.algorithm.c_str(), r.decisions_per_sec,
-                  static_cast<long long>(r.commits),
-                  static_cast<long long>(r.restarts),
-                  i + 1 < decisions.size() ? "," : "");
-    cc_json += line;
+  Members cc_decision = {{"budget", std::to_string(decision_budget)}};
+  for (const CcDecisionResult& r : decisions) {
+    cc_decision.emplace_back(
+        r.algorithm, Object({{"decisions_per_sec", Rate(r.decisions_per_sec)},
+                             {"commits", std::to_string(r.commits)},
+                             {"restarts", std::to_string(r.restarts)}}));
   }
-  char buf[8192];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"schema\": \"ccsim-bench-v1\",\n"
-      "  \"event_churn\": {\n"
-      "    \"iterations\": %d,\n"
-      "    \"events_per_sec\": %.0f,\n"
-      "    \"events_fired\": %llu,\n"
-      "    \"peak_heap_entries\": %zu,\n"
-      "    \"checksum\": %llu\n"
-      "  },\n"
-      "  \"lock_grant_release\": {\n"
-      "    \"iterations\": %d,\n"
-      "    \"requests_per_sec\": %.0f,\n"
-      "    \"immediate_grants\": %lld,\n"
-      "    \"deferred_grants\": %lld\n"
-      "  },\n"
-      "  \"cc_decision\": {\n"
-      "    \"budget\": %lld,\n"
-      "%s"
-      "  },\n"
-      "  \"end_to_end_fig03\": {\n"
-      "    \"algorithm\": \"blocking\",\n"
-      "    \"mpl\": %d,\n"
-      "    \"batches\": %d,\n"
-      "    \"throughput_txn_per_sim_sec\": %.4f,\n"
-      "    \"commits\": %lld,\n"
-      "    \"replay_digest\": \"%016llx\",\n"
-      "    \"wall_seconds\": %.2f,\n"
-      "    \"commits_per_wall_sec\": %.0f\n"
-      "  }\n"
-      "}\n",
-      churn_iters, churn.events_per_sec,
-      static_cast<unsigned long long>(churn.events_fired),
-      churn.peak_heap_entries,
-      static_cast<unsigned long long>(churn.checksum), lock_iters,
-      lock.requests_per_sec, static_cast<long long>(lock.immediate_grants),
-      static_cast<long long>(lock.deferred_grants),
-      static_cast<long long>(decision_budget), cc_json.c_str(), e2e.mpl,
-      lengths.batches,
-      e2e.throughput, static_cast<long long>(e2e.commits),
-      static_cast<unsigned long long>(e2e.replay_digest), e2e.wall_seconds,
-      e2e.commits_per_wall_sec);
-  out << buf;
+  out << Object({
+             {"schema", ccsim::json::Quote("ccsim-bench-v1")},
+             {"event_churn",
+              Object({{"iterations", std::to_string(churn_iters)},
+                      {"events_per_sec", Rate(churn.events_per_sec)},
+                      {"events_fired", std::to_string(churn.events_fired)},
+                      {"peak_heap_entries",
+                       std::to_string(churn.peak_heap_entries)},
+                      {"checksum", std::to_string(churn.checksum)}},
+                     2)},
+             {"lock_grant_release",
+              Object({{"iterations", std::to_string(lock_iters)},
+                      {"requests_per_sec", Rate(lock.requests_per_sec)},
+                      {"immediate_grants",
+                       std::to_string(lock.immediate_grants)},
+                      {"deferred_grants",
+                       std::to_string(lock.deferred_grants)}},
+                     2)},
+             {"cc_decision", Object(cc_decision, 2)},
+             {"end_to_end_fig03",
+              Object({{"algorithm", ccsim::json::Quote("blocking")},
+                      {"mpl", std::to_string(e2e.mpl)},
+                      {"batches", std::to_string(lengths.batches)},
+                      {"throughput_txn_per_sim_sec", Real(e2e.throughput)},
+                      {"commits", std::to_string(e2e.commits)},
+                      {"replay_digest",
+                       ccsim::json::Quote(ccsim::StringPrintf(
+                           "%016llx", static_cast<unsigned long long>(
+                                          e2e.replay_digest)))},
+                      {"wall_seconds", Real(e2e.wall_seconds)},
+                      {"commits_per_wall_sec",
+                       Rate(e2e.commits_per_wall_sec)}},
+                     2)},
+         },
+         1)
+      << "\n";
   out.close();
   std::cerr << "[micro_kernel] wrote " << out_path
             << (valid ? "" : " (INVALID: zero metric)") << "\n";
