@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "core/config_fields.h"
 #include "core/journal.h"
 #include "exec/jobs.h"
 #include "exec/thread_pool.h"
@@ -32,19 +33,15 @@ RunLengths RunLengths::FromEnv(RunLengths defaults) {
 }
 
 std::vector<int> PaperMplLevels() {
+  std::vector<int> mpls = {5, 10, 25, 50, 75, 100, 200};
   auto raw = GetEnv("CCSIM_MPLS");
-  if (!raw.has_value()) return {5, 10, 25, 50, 75, 100, 200};
-  std::vector<int> mpls;
-  for (const std::string& field : Split(*raw, ',')) {
-    auto parsed = ParseInt(field);
-    CCSIM_CHECK(parsed.has_value())
-        << "CCSIM_MPLS entry \"" << field << "\" is not an integer";
-    CCSIM_CHECK_GT(*parsed, 0)
-        << "CCSIM_MPLS entry \"" << field
-        << "\" must be a positive multiprogramming level";
-    mpls.push_back(static_cast<int>(*parsed));
+  if (!raw.has_value()) return mpls;
+  const Status status = ParseKeyValue("CCSIM_MPLS", *raw, &mpls);
+  CCSIM_CHECK(status.ok()) << status.message();
+  for (int mpl : mpls) {
+    CCSIM_CHECK_GT(mpl, 0) << "CCSIM_MPLS entry " << mpl
+                           << " must be a positive multiprogramming level";
   }
-  CCSIM_CHECK(!mpls.empty());
   return mpls;
 }
 

@@ -80,6 +80,13 @@ TEST(PaperMplLevelsDeathTest, RejectsNonPositiveLevels) {
   unsetenv("CCSIM_MPLS");
 }
 
+TEST(PaperMplLevelsDeathTest, RejectsLevelsPastIntRange) {
+  // 4294967301 used to narrow to 5 and run mpl 5.
+  setenv("CCSIM_MPLS", "10,4294967301", 1);
+  EXPECT_DEATH(PaperMplLevels(), "CCSIM_MPLS=4294967301: out of range");
+  unsetenv("CCSIM_MPLS");
+}
+
 TEST(RunSweepTest, OrderingAndOverrides) {
   SweepConfig sweep;
   sweep.base = FastBase();
