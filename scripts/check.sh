@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local reproduction of the CI matrix (.github/workflows/ci.yml):
-#   1. RelWithDebInfo build + full ctest suite
+#   1. RelWithDebInfo build + full ctest suite, then a build-only Release
+#      (-O3) pass, the optimization level perfbench compiles src/ at
 #   2. ASan+UBSan build + full ctest suite
 #   3. TSan build + full ctest suite, plus the parallel-runner tests re-run
 #      under CCSIM_JOBS=8 (the threaded sweep path under TSan)
@@ -47,6 +48,9 @@ run_config() {
 }
 
 run_config plain
+echo "=== Release build (-O3, build only; perfbench compiles src/ this way) ==="
+cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-rel -j "${JOBS}"
 if [[ "${FAST}" -eq 0 ]]; then
   run_config asan -DCCSIM_SAN=address,undefined
   run_config tsan -DCCSIM_SAN=thread

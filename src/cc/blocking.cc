@@ -35,15 +35,15 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
       [this](TxnId t) { return locks_.NumHeld(t); },
   };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
-  DeadlockResolution resolution = detector_.Resolve(txn, doomed_, context);
-  stats_.deadlocks_detected += resolution.cycles_found;
+  detector_.Resolve(txn, doomed_, context, &resolution_);
+  stats_.deadlocks_detected += resolution_.cycles_found;
   if (cycle_length_hist_ != nullptr) {
-    for (int length : resolution.cycle_lengths) {
+    for (int length : resolution_.cycle_lengths) {
       cycle_length_hist_->Add(static_cast<double>(length));
     }
   }
 
-  for (TxnId victim : resolution.victims) {
+  for (TxnId victim : resolution_.victims) {
     ++stats_.deadlock_victims;
     doomed_.insert(victim);
     // The victim dies so the requester's cycle breaks: blame the requester.
@@ -52,7 +52,7 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
     }
     callbacks_.on_wound(victim);
   }
-  if (resolution.requester_is_victim) {
+  if (resolution_.requester_is_victim) {
     ++stats_.deadlock_victims;
     if (callbacks_.on_blame) {
       locks_.AppendBlockersOf(txn, &blockers_scratch_);

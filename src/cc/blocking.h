@@ -24,6 +24,9 @@ class BlockingCC : public ConcurrencyControl {
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     locks_.Reserve(static_cast<size_t>(num_objects),
                    static_cast<size_t>(num_txns));
+    detector_.Reserve(static_cast<size_t>(num_txns));
+    resolution_.victims.reserve(static_cast<size_t>(num_txns));
+    resolution_.cycle_lengths.reserve(static_cast<size_t>(num_txns));
     start_times_.Reserve(static_cast<size_t>(num_txns));
     doomed_.reserve(static_cast<size_t>(num_txns));
   }
@@ -64,6 +67,10 @@ class BlockingCC : public ConcurrencyControl {
   SmallIdSet doomed_;
   /// Blame-attribution scratch (reused; obs-only path).
   std::vector<TxnId> blockers_scratch_;
+  /// Reused by every deadlock search, so detection allocates nothing once
+  /// warm. Safe while its victims are walked because on_wound does not
+  /// re-enter the algorithm (the engine defers aborts to events).
+  DeadlockResolution resolution_;
 
   // Observability (null unless RegisterStats was called).
   ObsCounter* deadlock_searches_ = nullptr;

@@ -56,6 +56,11 @@ class DeadlockDetector {
   DeadlockDetector(const LockManager* locks, VictimPolicy policy)
       : locks_(locks), policy_(policy) {}
 
+  /// Capacity hint (transaction population), which bounds every search
+  /// path, blocker list and cycle: pre-sizes the scratch so searches do not
+  /// allocate. No behavioral effect.
+  void Reserve(size_t num_txns);
+
   /// Repeatedly finds a cycle through `requester` and selects a victim until
   /// no such cycle remains. Transactions in `doomed` (victims already chosen
   /// but not yet aborted by the engine) are treated as absent, since their
@@ -64,17 +69,26 @@ class DeadlockDetector {
   DeadlockResolution Resolve(TxnId requester, const SmallIdSet& doomed,
                              const VictimContext& context) const;
 
+  /// The same resolution, written into `*out` (whose vectors keep their
+  /// capacity): with a caller-owned `out`, a search that finds cycles
+  /// allocates nothing once the buffers are warm.
+  void Resolve(TxnId requester, const SmallIdSet& doomed,
+               const VictimContext& context, DeadlockResolution* out) const;
+
   /// Finds one cycle through `start` (ignoring `excluded` transactions);
   /// returns the cycle's members, or empty if none. Exposed for tests.
   std::vector<TxnId> FindCycle(TxnId start, const SmallIdSet& excluded) const;
 
  private:
-  /// DFS path frame; `blockers` keeps its capacity across searches (frames
-  /// are pooled by depth).
+  /// FindCycle, written into `*cycle` (empty if none).
+  void FindCycle(TxnId start, const SmallIdSet& excluded,
+                 std::vector<TxnId>* cycle) const;
+
+  /// DFS path frame: its blockers are blocker_stack_[next, end).
   struct Frame {
     TxnId txn = kInvalidTxn;
-    std::vector<TxnId> blockers;
     size_t next = 0;
+    size_t end = 0;
   };
 
   TxnId PickVictim(const std::vector<TxnId>& cycle,
@@ -82,9 +96,14 @@ class DeadlockDetector {
 
   const LockManager* locks_;
   VictimPolicy policy_;
-  mutable std::vector<Frame> frames_;  ///< Pooled DFS stack.
+  mutable std::vector<Frame> frames_;  ///< DFS path, reused across searches.
+  /// Every path frame's blocker list, stacked in path order: a frame's
+  /// list sits above its parent's and is dropped when the frame pops.
+  mutable std::vector<TxnId> blocker_stack_;
+  mutable std::vector<TxnId> blockers_scratch_;
   mutable SmallIdSet visited_;
   mutable SmallIdSet excluded_scratch_;  ///< doomed ∪ victims-so-far.
+  mutable std::vector<TxnId> cycle_scratch_;
 };
 
 }  // namespace ccsim

@@ -78,9 +78,9 @@ CCDecision TimestampLockingCC::HandleRequest(TxnId txn, ObjectId obj,
       [this](TxnId t) { return locks_.NumHeld(t); },
   };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
-  DeadlockResolution resolution = detector_.Resolve(txn, doomed_, context);
-  stats_.deadlocks_detected += resolution.cycles_found;
-  for (TxnId victim : resolution.victims) {
+  detector_.Resolve(txn, doomed_, context, &resolution_);
+  stats_.deadlocks_detected += resolution_.cycles_found;
+  for (TxnId victim : resolution_.victims) {
     ++stats_.deadlock_victims;
     doomed_.insert(victim);
     if (callbacks_.on_blame) {
@@ -88,7 +88,7 @@ CCDecision TimestampLockingCC::HandleRequest(TxnId txn, ObjectId obj,
     }
     callbacks_.on_wound(victim);
   }
-  if (resolution.requester_is_victim) {
+  if (resolution_.requester_is_victim) {
     ++stats_.deadlock_victims;
     if (callbacks_.on_blame) {
       callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],

@@ -40,6 +40,9 @@ class TimestampLockingCC : public ConcurrencyControl {
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     locks_.Reserve(static_cast<size_t>(num_objects),
                    static_cast<size_t>(num_txns));
+    detector_.Reserve(static_cast<size_t>(num_txns));
+    resolution_.victims.reserve(static_cast<size_t>(num_txns));
+    resolution_.cycle_lengths.reserve(static_cast<size_t>(num_txns));
     first_starts_.Reserve(static_cast<size_t>(num_txns));
     incarnation_starts_.Reserve(static_cast<size_t>(num_txns));
     doomed_.reserve(static_cast<size_t>(num_txns));
@@ -81,6 +84,10 @@ class TimestampLockingCC : public ConcurrencyControl {
   SmallIdSet doomed_;
   /// Conflict-resolution scratch (reused across requests).
   std::vector<TxnId> blockers_scratch_;
+  /// Reused by every deadlock search, so detection allocates nothing once
+  /// warm. Safe while its victims are walked because on_wound does not
+  /// re-enter the algorithm (the engine defers aborts to events).
+  DeadlockResolution resolution_;
 
   // Observability (null unless RegisterStats was called).
   ObsCounter* deadlock_searches_ = nullptr;

@@ -14,7 +14,6 @@
 #ifndef CCSIM_CORE_CLOSED_SYSTEM_H_
 #define CCSIM_CORE_CLOSED_SYSTEM_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -42,6 +41,7 @@
 #include "stats/welford.h"
 #include "util/dense_table.h"
 #include "util/random.h"
+#include "util/ring_queue.h"
 #include "wl/workload.h"
 
 namespace ccsim {
@@ -234,7 +234,7 @@ class ClosedSystem {
     void Recycle() {
       id = kInvalidTxn;
       terminal = -1;
-      spec = TxnSpec{};
+      spec.Clear();
       write_set.clear();
       first_submit = 0;
       incarnation_start = 0;
@@ -276,7 +276,7 @@ class ClosedSystem {
   void StartAccess(TxnId id);
   /// CPU half of a read access (after the disk I/O, or directly on a buffer
   /// hit). Split out so resource completions capture five scalars at most
-  /// and stay inside the ServiceCompletion inline buffer (res/server_pool.h).
+  /// and stay inline on both service paths (res/server_pool.h).
   void StartReadCpu(TxnId id, int incarnation);
   /// Advances past the finished read or write-phase access.
   void AfterAccess(TxnId id, int incarnation);
@@ -359,7 +359,7 @@ class ClosedSystem {
   /// (kClosed) is alive, so the slot map recycles a bounded set of slots —
   /// and each Txn's buffers with them.
   TxnSlotMap<Txn> txns_;
-  std::deque<TxnId> ready_queue_;
+  RingQueue<TxnId> ready_queue_;
   int active_count_ = 0;
   TimeWeightedValue active_mpl_;
 

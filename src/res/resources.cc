@@ -36,33 +36,19 @@ ResourceManager::ResourceManager(Simulator* sim, const ResourceConfig& config,
   }
 }
 
-void ResourceManager::RequestCpu(SimTime service_time, ServicePriority priority,
-                                 ServiceCompletion done) {
-  cpu_->Request(service_time, priority, std::move(done));
+int ResourceManager::PickDisk() {
+  return disks_.size() == 1
+             ? 0
+             : static_cast<int>(disk_rng_.UniformInt(
+                   0, static_cast<int64_t>(disks_.size()) - 1));
 }
 
-void ResourceManager::RequestDisk(SimTime service_time, ServiceCompletion done) {
-  int disk = disks_.size() == 1
-                 ? 0
-                 : static_cast<int>(disk_rng_.UniformInt(
-                       0, static_cast<int64_t>(disks_.size()) - 1));
-  RequestDiskAt(disk, service_time, std::move(done));
-}
-
-void ResourceManager::RequestDiskAt(int disk, SimTime service_time,
-                                    ServiceCompletion done) {
-  CCSIM_CHECK_GE(disk, 0);
-  CCSIM_CHECK_LT(disk, num_disks());
-  disks_[static_cast<size_t>(disk)]->Request(
-      service_time, ServicePriority::kNormal, std::move(done));
-}
-
-void ResourceManager::RequestLog(SimTime service_time, ServiceCompletion done) {
+ServerPool& ResourceManager::LogPool() {
   if (log_ == nullptr) {
     log_ = std::make_unique<ServerPool>(sim_, 1, config_.infinite, "log");
     if (span_sink_ != nullptr) log_->AttachSpanSink(span_sink_);
   }
-  log_->Request(service_time, ServicePriority::kNormal, std::move(done));
+  return *log_;
 }
 
 double ResourceManager::LogUtilization(SimTime now) {

@@ -5,12 +5,14 @@
 #define CCSIM_RES_RESOURCES_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
 #include "obs/span_sink.h"
 #include "res/server_pool.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace ccsim {
@@ -47,21 +49,38 @@ class ResourceManager {
 
   const ResourceConfig& config() const { return config_; }
 
-  /// CPU service; cc requests are prioritized over normal work.
-  void RequestCpu(SimTime service_time, ServicePriority priority,
-                  ServiceCompletion done);
+  /// CPU service; cc requests are prioritized over normal work. Every
+  /// Request* forwards `done` (any void() callable) to ServerPool::Request
+  /// untouched, so the completion is built once, in its final home.
+  template <typename F>
+  void RequestCpu(SimTime service_time, ServicePriority priority, F&& done) {
+    cpu_->Request(service_time, priority, std::forward<F>(done));
+  }
 
   /// Disk service at a uniformly random disk (the partitioned-database
   /// assumption: each access is equally likely to hit any partition).
-  void RequestDisk(SimTime service_time, ServiceCompletion done);
+  template <typename F>
+  void RequestDisk(SimTime service_time, F&& done) {
+    RequestDiskAt(PickDisk(), service_time, std::forward<F>(done));
+  }
 
   /// Disk service at a specific disk (tests and specialized workloads).
-  void RequestDiskAt(int disk, SimTime service_time, ServiceCompletion done);
+  template <typename F>
+  void RequestDiskAt(int disk, SimTime service_time, F&& done) {
+    CCSIM_CHECK_GE(disk, 0);
+    CCSIM_CHECK_LT(disk, num_disks());
+    disks_[static_cast<size_t>(disk)]->Request(
+        service_time, ServicePriority::kNormal, std::forward<F>(done));
+  }
 
   /// Service on the dedicated sequential log disk (commit records). The log
   /// disk is created on first use — one FCFS server, or a pure delay under
   /// infinite resources — and is not counted in DiskUtilization().
-  void RequestLog(SimTime service_time, ServiceCompletion done);
+  template <typename F>
+  void RequestLog(SimTime service_time, F&& done) {
+    LogPool().Request(service_time, ServicePriority::kNormal,
+                      std::forward<F>(done));
+  }
 
   /// Log-disk utilization over the current window (0 if the log disk was
   /// never used or resources are infinite).
@@ -101,6 +120,12 @@ class ResourceManager {
   void AttachSpanSink(ServiceSpanSink* sink);
 
  private:
+  /// The uniformly random disk for the next RequestDisk (no draw when there
+  /// is only one).
+  int PickDisk();
+  /// The log pool, created on first use.
+  ServerPool& LogPool();
+
   Simulator* sim_;
   ResourceConfig config_;
   Rng disk_rng_;

@@ -59,6 +59,13 @@ class Rng {
   /// followed by a shuffle, so cost is O(count) independent of population.
   std::vector<int64_t> SampleWithoutReplacement(int64_t population, int64_t count);
 
+  /// The same sample (same draws, same order) written into `*out`, with
+  /// `*scratch` as the membership set; both keep their capacity across
+  /// calls, so a reused pair never allocates once grown.
+  void SampleWithoutReplacement(int64_t population, int64_t count,
+                                std::vector<int64_t>* out,
+                                std::vector<int64_t>* scratch);
+
   std::mt19937_64& engine() { return engine_; }
 
  private:

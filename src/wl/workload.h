@@ -41,10 +41,23 @@ struct TxnSpec {
   /// The written objects, in write-phase order.
   std::vector<ObjectId> WriteSet() const {
     std::vector<ObjectId> set;
-    for (size_t i = 0; i < reads.size(); ++i) {
-      if (writes[i]) set.push_back(reads[i]);
-    }
+    WriteSet(&set);
     return set;
+  }
+
+  /// The same, written into `*out` (whose capacity is reused).
+  void WriteSet(std::vector<ObjectId>* out) const {
+    out->clear();
+    for (size_t i = 0; i < reads.size(); ++i) {
+      if (writes[i]) out->push_back(reads[i]);
+    }
+  }
+
+  /// Back to the default-constructed spec, keeping the buffers' capacity.
+  void Clear() {
+    reads.clear();
+    writes.clear();
+    class_index = 0;
   }
 };
 
@@ -61,6 +74,13 @@ class WorkloadGenerator {
   /// Generates the next transaction spec.
   TxnSpec NextTransaction();
 
+  /// Generates the next transaction spec into `*spec` and its write set
+  /// into `*write_set` (unless null), reusing their buffers: both are
+  /// reserved to the largest transaction the parameters allow, so recycled
+  /// buffers (the engine's per-terminal transaction slots) allocate only on
+  /// first use. Draws exactly what NextTransaction() draws.
+  void NextTransaction(TxnSpec* spec, std::vector<ObjectId>* write_set);
+
   /// External think delay: exponential with mean ext_think_time (0 if the
   /// mean is 0).
   SimTime NextExternalThink();
@@ -73,6 +93,14 @@ class WorkloadGenerator {
   WorkloadParams params_;
   Rng spec_rng_;
   Rng think_rng_;
+  /// Largest readset any class can draw.
+  int max_size_ = 0;
+  /// Sampling scratch reused by every in-place NextTransaction call: the
+  /// sampler's membership set, and the hot/cold strata of the x-y rule.
+  std::vector<int64_t> chosen_;
+  std::vector<bool> is_hot_;
+  std::vector<ObjectId> hot_;
+  std::vector<ObjectId> cold_;
 };
 
 }  // namespace ccsim
