@@ -42,16 +42,16 @@ void Auditor::Report(AuditInvariant invariant, TxnId txn,
 
 void Auditor::OnTxnAdmitted(TxnId txn, int incarnation) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   state = TxnLockState{};
   state.incarnation = incarnation;
 }
 
-void Auditor::OnTxnFinished(TxnId txn) { lock_states_.erase(txn); }
+void Auditor::OnTxnFinished(TxnId txn) { lock_states_.Erase(txn); }
 
 void Auditor::OnLockAcquired(TxnId txn, ObjectId obj, bool exclusive) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   if (state.phase == LockPhase::kShrinking) {
     std::ostringstream detail;
     detail << "lock on object " << obj << (exclusive ? " (X)" : " (S)")
@@ -65,7 +65,7 @@ void Auditor::OnLockAcquired(TxnId txn, ObjectId obj, bool exclusive) {
 
 void Auditor::OnLockReleased(TxnId txn) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   if (state.phase == LockPhase::kGrowing) {
     state.phase = LockPhase::kShrinking;
     state.released_at_count = state.acquired;
@@ -81,18 +81,27 @@ void Auditor::CheckBlockedTracked(TxnId txn, bool tracked_by_algorithm) {
   }
 }
 
+namespace {
+
+void PrintCensus(std::ostream& out, const TxnCensus& census) {
+  out << "(total=" << census.total << " ready=" << census.ready
+      << " running=" << census.running << " blocked=" << census.blocked
+      << " thinking=" << census.thinking
+      << " restart_delay=" << census.restart_delay
+      << " ready_queue=" << census.ready_queue << " active=" << census.active
+      << ")";
+}
+
+}  // namespace
+
 void Auditor::CheckConservation(const TxnCensus& census) {
   ++checks_performed_;
   int64_t sum = census.ready + census.running + census.blocked +
                 census.thinking + census.restart_delay;
   auto fail = [&](const char* what) {
     std::ostringstream detail;
-    detail << what << " (total=" << census.total << " ready=" << census.ready
-           << " running=" << census.running << " blocked=" << census.blocked
-           << " thinking=" << census.thinking
-           << " restart_delay=" << census.restart_delay
-           << " ready_queue=" << census.ready_queue
-           << " active=" << census.active << ")";
+    detail << what << " ";
+    PrintCensus(detail, census);
     Report(AuditInvariant::kTxnConservation, kInvalidTxn, detail.str());
   };
   if (sum != census.total) {
@@ -106,6 +115,17 @@ void Auditor::CheckConservation(const TxnCensus& census) {
   if (census.ready_queue != census.ready) {
     fail("ready queue length disagrees with the ready population");
   }
+}
+
+void Auditor::CheckRecount(const TxnCensus& kept, const TxnCensus& recount) {
+  ++checks_performed_;
+  if (kept == recount) return;
+  std::ostringstream detail;
+  detail << "maintained census ";
+  PrintCensus(detail, kept);
+  detail << " disagrees with a recount ";
+  PrintCensus(detail, recount);
+  Report(AuditInvariant::kTxnConservation, kInvalidTxn, detail.str());
 }
 
 void Auditor::OnEventTime(SimTime now) {

@@ -28,12 +28,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/digest.h"
 #include "cc/types.h"
 #include "sim/time.h"
+#include "util/dense_table.h"
 
 namespace ccsim {
 
@@ -89,6 +89,8 @@ struct TxnCensus {
   int64_t restart_delay = 0;  ///< State kRestartDelay.
   int64_t ready_queue = 0;    ///< Entries in the engine's ready queue.
   int64_t active = 0;         ///< The engine's active_count_.
+
+  bool operator==(const TxnCensus&) const = default;
 };
 
 /// The pluggable runtime invariant auditor. One instance audits one engine;
@@ -142,6 +144,10 @@ class Auditor {
   /// and the ready queue matches the ready population.
   void CheckConservation(const TxnCensus& census);
 
+  /// Verifies that the census the engine keeps up to date incrementally
+  /// (`kept`) equals one counted from scratch (`recount`).
+  void CheckRecount(const TxnCensus& kept, const TxnCensus& recount);
+
   // --- Event-time monotonicity ---
 
   /// The engine observed `now`; reports a violation if time went backwards.
@@ -188,7 +194,9 @@ class Auditor {
 
   AuditorOptions options_;
   std::function<SimTime()> clock_;
-  std::unordered_map<TxnId, TxnLockState> lock_states_;
+  /// Live incarnations' lock phases; slots (and their capacity) are reused
+  /// across incarnations, so the steady state allocates nothing.
+  TxnSlotMap<TxnLockState> lock_states_;
   SimTime last_time_ = 0;
   bool saw_time_ = false;
   FnvDigest digest_;

@@ -1,57 +1,70 @@
 #include "audit/waits_for.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace ccsim {
 
-std::vector<TxnId> WaitsForSnapshot::FindCycle() const {
-  // Iterative DFS with three colors; unordered_map iteration order must not
-  // influence the result (the auditor itself must be deterministic), so
-  // roots and neighbors are visited in sorted order.
-  std::vector<TxnId> roots;
-  roots.reserve(edges_.size());
-  for (const auto& [waiter, blockers] : edges_) roots.push_back(waiter);
-  std::sort(roots.begin(), roots.end());
+namespace {
+enum Color : uint8_t { kWhite, kGray, kBlack };
+}  // namespace
 
-  enum class Color { kWhite, kGray, kBlack };
-  std::unordered_map<TxnId, Color> color;
-  // Parent edge within the current DFS tree, to reconstruct the cycle.
-  std::unordered_map<TxnId, TxnId> parent;
+std::vector<TxnId> WaitsForSnapshot::FindCycle() {
+  // One sort puts each waiter's edges in a contiguous range, in ascending
+  // blocker order; the nodes are the distinct waiters, ascending.
+  std::sort(edges_.begin(), edges_.end());
+  nodes_.clear();
+  first_edge_.clear();
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    if (nodes_.empty() || nodes_.back() != edges_[e].first) {
+      nodes_.push_back(edges_[e].first);
+      first_edge_.push_back(static_cast<int32_t>(e));
+    }
+  }
+  first_edge_.push_back(static_cast<int32_t>(edges_.size()));
+  // A blocker that waits for nothing has no out-edges and so can close no
+  // cycle: it resolves to -1 and the search never descends into it.
+  targets_.resize(edges_.size());
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    auto it = std::lower_bound(nodes_.begin(), nodes_.end(), edges_[e].second);
+    targets_[e] = it != nodes_.end() && *it == edges_[e].second
+                      ? static_cast<int32_t>(it - nodes_.begin())
+                      : -1;
+  }
+  color_.assign(nodes_.size(), kWhite);
+  parent_.assign(nodes_.size(), -1);
 
-  for (TxnId root : roots) {
-    if (color.count(root) > 0) continue;
-    std::vector<std::pair<TxnId, size_t>> stack;  // (node, next child index)
-    color[root] = Color::kGray;
-    stack.emplace_back(root, 0);
-    while (!stack.empty()) {
-      auto& [node, child_index] = stack.back();
-      auto it = edges_.find(node);
-      std::vector<TxnId> blockers;
-      if (it != edges_.end()) {
-        blockers = it->second;
-        std::sort(blockers.begin(), blockers.end());
-      }
-      if (child_index >= blockers.size()) {
-        color[node] = Color::kBlack;
-        stack.pop_back();
+  // Iterative three-color DFS from each waiter in ascending id order.
+  const auto num_nodes = static_cast<int32_t>(nodes_.size());
+  for (int32_t root = 0; root < num_nodes; ++root) {
+    if (color_[static_cast<size_t>(root)] != kWhite) continue;
+    stack_.clear();
+    color_[static_cast<size_t>(root)] = kGray;
+    stack_.emplace_back(root, first_edge_[static_cast<size_t>(root)]);
+    while (!stack_.empty()) {
+      const int32_t node = stack_.back().first;
+      const int32_t edge = stack_.back().second;
+      if (edge == first_edge_[static_cast<size_t>(node) + 1]) {
+        color_[static_cast<size_t>(node)] = kBlack;
+        stack_.pop_back();
         continue;
       }
-      TxnId next = blockers[child_index++];
-      auto color_it = color.find(next);
-      if (color_it == color.end()) {
-        color[next] = Color::kGray;
-        parent[next] = node;
-        stack.emplace_back(next, 0);
-      } else if (color_it->second == Color::kGray) {
-        // Found a back edge node -> next: walk parents from node to next.
+      ++stack_.back().second;
+      const int32_t next = targets_[static_cast<size_t>(edge)];
+      if (next < 0) continue;
+      const auto next_index = static_cast<size_t>(next);
+      if (color_[next_index] == kWhite) {
+        color_[next_index] = kGray;
+        parent_[next_index] = node;
+        stack_.emplace_back(next, first_edge_[next_index]);
+      } else if (color_[next_index] == kGray) {
+        // Back edge node -> next: walk parents from node up to next, then
+        // reverse so each member waits for its successor.
         std::vector<TxnId> cycle;
-        cycle.push_back(next);
-        for (TxnId walk = node; walk != next; walk = parent.at(walk)) {
-          cycle.push_back(walk);
+        cycle.push_back(nodes_[next_index]);
+        for (int32_t walk = node; walk != next;
+             walk = parent_[static_cast<size_t>(walk)]) {
+          cycle.push_back(nodes_[static_cast<size_t>(walk)]);
         }
-        // Reverse so each member waits for its successor.
         std::reverse(cycle.begin() + 1, cycle.end());
         return cycle;
       }

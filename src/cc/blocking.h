@@ -47,6 +47,8 @@ class BlockingCC : public ConcurrencyControl {
     return locks_.IsWaiting(txn);
   }
   void AuditCheck() const override { locks_.AuditCheck(auditor_, doomed_); }
+  void AuditChanges() override { locks_.AuditChanges(auditor_, doomed_); }
+  size_t AuditScanPeriod() const override { return locks_.audit_scan_size(); }
 
   void RegisterStats(StatsRegistry* registry) override;
 

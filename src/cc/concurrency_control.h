@@ -7,6 +7,7 @@
 #ifndef CCSIM_CC_CONCURRENCY_CONTROL_H_
 #define CCSIM_CC_CONCURRENCY_CONTROL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -126,10 +127,22 @@ class ConcurrencyControl {
     return false;
   }
 
-  /// Deep structural self-check; implementations report inconsistencies into
-  /// the attached auditor. Called periodically by the engine and at the end
-  /// of every experiment. Default: nothing to check.
+  /// Deep structural self-check (the full scan); implementations report
+  /// inconsistencies into the attached auditor. The engine runs it every
+  /// AuditScanPeriod() transitions and at the end of every experiment.
+  /// Default: nothing to check.
   virtual void AuditCheck() const {}
+
+  /// Incremental self-check of what changed since the previous call; the
+  /// engine calls it at every lifecycle transition. Default: nothing, for
+  /// algorithms checked by the periodic full scan alone.
+  virtual void AuditChanges() {}
+
+  /// Transitions between two full AuditCheck scans. Algorithms with an
+  /// incremental AuditChanges return their full scan's size, so the scan
+  /// costs O(1) per transition amortized; the rest keep a fixed period.
+  virtual size_t AuditScanPeriod() const { return kDefaultAuditScanPeriod; }
+  static constexpr size_t kDefaultAuditScanPeriod = 64;
 
  protected:
   CCCallbacks callbacks_;

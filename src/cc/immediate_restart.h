@@ -54,10 +54,9 @@ class ImmediateRestartCC : public ConcurrencyControl {
   }
   // AuditTracksWaiter: base default (false) — requests never enqueue, so an
   // engine-side blocked transaction would itself be the violation.
-  void AuditCheck() const override {
-    static const SmallIdSet kNoDoomed;
-    locks_.AuditCheck(auditor_, kNoDoomed);
-  }
+  void AuditCheck() const override { locks_.AuditCheck(auditor_, kNoDoomed); }
+  void AuditChanges() override { locks_.AuditChanges(auditor_, kNoDoomed); }
+  size_t AuditScanPeriod() const override { return locks_.audit_scan_size(); }
 
   const LockManager& locks() const { return locks_; }
 
@@ -83,6 +82,8 @@ class ImmediateRestartCC : public ConcurrencyControl {
     CCSIM_CHECK(granted.empty());
   }
 
+  /// Requests never wait, so no victim is ever doomed.
+  static inline const SmallIdSet kNoDoomed;
   LockManager locks_;
 };
 

@@ -64,6 +64,8 @@ class TimestampLockingCC : public ConcurrencyControl {
     return locks_.IsWaiting(txn);
   }
   void AuditCheck() const override { locks_.AuditCheck(auditor_, doomed_); }
+  void AuditChanges() override { locks_.AuditChanges(auditor_, doomed_); }
+  size_t AuditScanPeriod() const override { return locks_.audit_scan_size(); }
 
   void RegisterStats(StatsRegistry* registry) override;
 

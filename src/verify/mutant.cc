@@ -80,6 +80,8 @@ class DropGrantMutant : public ConcurrencyControl {
     return inner_->AuditTracksWaiter(txn);
   }
   void AuditCheck() const override { inner_->AuditCheck(); }
+  void AuditChanges() override { inner_->AuditChanges(); }
+  size_t AuditScanPeriod() const override { return inner_->AuditScanPeriod(); }
 
  private:
   /// SetCallbacks is non-virtual (it only stores), so the engine's callbacks

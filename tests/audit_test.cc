@@ -1,7 +1,12 @@
 // Tests for the runtime invariant auditor: each violation class must be
 // detected when injected, clean histories must pass, and a sweep of every
 // algorithm under full auditing must come back violation-free.
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +17,8 @@
 #include "cc/lock_manager.h"
 #include "core/closed_system.h"
 #include "sim/simulator.h"
+#include "util/random.h"
+#include "verify/scenario.h"
 
 namespace ccsim {
 namespace {
@@ -215,6 +222,104 @@ TEST(WaitsForSnapshotTest, FindsCycleMembers) {
   }
 }
 
+/// The pre-flat-storage FindCycle, kept as the reference the flat version
+/// must match: a map from waiter to blockers, roots in ascending order, and
+/// each node's blockers copied and sorted whenever it is on top of the stack.
+std::vector<TxnId> ReferenceFindCycle(
+    const std::vector<std::pair<TxnId, TxnId>>& edge_list) {
+  std::map<TxnId, std::vector<TxnId>> edges;
+  for (const auto& [waiter, blocker] : edge_list) {
+    edges[waiter].push_back(blocker);
+  }
+  enum class Color { kGray, kBlack };
+  std::map<TxnId, Color> color;
+  std::map<TxnId, TxnId> parent;
+  for (const auto& [root, unused] : edges) {
+    if (color.count(root) > 0) continue;
+    std::vector<std::pair<TxnId, size_t>> stack;
+    color[root] = Color::kGray;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [node, child_index] = stack.back();
+      std::vector<TxnId> blockers;
+      auto it = edges.find(node);
+      if (it != edges.end()) {
+        blockers = it->second;
+        std::sort(blockers.begin(), blockers.end());
+      }
+      if (child_index >= blockers.size()) {
+        color[node] = Color::kBlack;
+        stack.pop_back();
+        continue;
+      }
+      TxnId next = blockers[child_index++];
+      auto color_it = color.find(next);
+      if (color_it == color.end()) {
+        color[next] = Color::kGray;
+        parent[next] = node;
+        stack.emplace_back(next, 0);
+      } else if (color_it->second == Color::kGray) {
+        std::vector<TxnId> cycle;
+        cycle.push_back(next);
+        for (TxnId walk = node; walk != next; walk = parent.at(walk)) {
+          cycle.push_back(walk);
+        }
+        std::reverse(cycle.begin() + 1, cycle.end());
+        return cycle;
+      }
+    }
+  }
+  return {};
+}
+
+// High fan-out graphs (every waiter waits for dozens of transactions, with
+// duplicate edges and blockers that wait for nothing): the flat search
+// returns exactly the reference's cycle, or none when the reference finds
+// none, whatever order the edges arrive in.
+TEST(WaitsForSnapshotTest, HighFanOutMatchesReference) {
+  int cyclic = 0;
+  WaitsForSnapshot graph;  // Reused across graphs, as checkers reuse it.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<std::pair<TxnId, TxnId>> edges;
+    const int64_t waiters = rng.UniformInt(20, 120);
+    const int64_t fan_out = rng.UniformInt(10, 60);
+    // Mostly edges toward higher ids (acyclic); a few back edges on half the
+    // seeds close cycles somewhere deep in the search.
+    for (TxnId waiter = 1; waiter <= waiters; ++waiter) {
+      for (int64_t e = 0; e < fan_out; ++e) {
+        edges.emplace_back(waiter, waiter + rng.UniformInt(1, 2 * waiters));
+      }
+    }
+    if (seed % 2 == 0) {
+      for (int back = 0; back < 3; ++back) {
+        const TxnId from = rng.UniformInt(waiters / 2, waiters);
+        edges.emplace_back(from, rng.UniformInt(1, from));
+      }
+    }
+    for (int order = 0; order < 2; ++order) {
+      if (order == 1) std::reverse(edges.begin(), edges.end());
+      graph.Clear();
+      for (const auto& [waiter, blocker] : edges) {
+        graph.AddEdge(waiter, blocker);
+      }
+      const std::vector<TxnId> expected = ReferenceFindCycle(edges);
+      EXPECT_EQ(graph.FindCycle(), expected) << "seed " << seed;
+      if (order == 0 && !expected.empty()) ++cyclic;
+    }
+  }
+  EXPECT_GT(cyclic, 5) << "the sweep should plant cycles";
+}
+
+TEST(WaitsForSnapshotTest, SelfLoopAndClearedGraph) {
+  WaitsForSnapshot graph;
+  graph.AddEdge(5, 5);
+  EXPECT_EQ(graph.FindCycle(), std::vector<TxnId>{5});
+  graph.Clear();
+  EXPECT_TRUE(graph.empty());
+  EXPECT_TRUE(graph.FindCycle().empty());
+}
+
 // --- Lock-table deep check against a real deadlock ---
 
 TEST(LockManagerAuditTest, CleanTableHasNoViolations) {
@@ -251,6 +356,85 @@ TEST(LockManagerAuditTest, UnresolvedDeadlockIsPermanentBlock) {
   EXPECT_EQ(resolved.violation_count(), 0) << resolved.Summary();
 }
 
+// The incremental checker alone (no full scan) must flag the same deadlock:
+// the cycle closes with a newly queued waiter, which triggers its search.
+TEST(LockManagerAuditTest, UnresolvedDeadlockIsPermanentBlockIncrementally) {
+  auto build_deadlock = [](LockManager* locks) {
+    ASSERT_EQ(locks->Request(1, 10, LockMode::kExclusive, true),
+              LockRequestOutcome::kGranted);
+    ASSERT_EQ(locks->Request(2, 20, LockMode::kExclusive, true),
+              LockRequestOutcome::kGranted);
+    ASSERT_EQ(locks->Request(1, 20, LockMode::kExclusive, true),
+              LockRequestOutcome::kWaiting);
+    ASSERT_EQ(locks->Request(2, 10, LockMode::kExclusive, true),
+              LockRequestOutcome::kWaiting);
+  };
+  {
+    LockManager locks;
+    Auditor auditor;
+    locks.SetAuditor(&auditor);  // Changes are recorded only when attached.
+    build_deadlock(&locks);
+    locks.AuditChanges(&auditor, /*doomed=*/{});
+    EXPECT_TRUE(HasViolation(auditor, AuditInvariant::kPermanentBlock))
+        << auditor.Summary();
+    // The change set was consumed: a second pass has nothing to re-check.
+    Auditor again;
+    locks.AuditChanges(&again, /*doomed=*/{});
+    EXPECT_EQ(again.violation_count(), 0) << again.Summary();
+  }
+  {
+    // With one member doomed, the cycle is being resolved.
+    LockManager locks;
+    Auditor resolved;
+    locks.SetAuditor(&resolved);
+    build_deadlock(&locks);
+    locks.AuditChanges(&resolved, /*doomed=*/{2});
+    EXPECT_EQ(resolved.violation_count(), 0) << resolved.Summary();
+  }
+}
+
+// A waiter whose blockers all left without granting it (a lost wake-up in
+// the table itself) fires from the changed granule's rules alone.
+TEST(LockManagerAuditTest, IncrementalChecksCoverChangedGranulesOnly) {
+  LockManager locks;
+  Auditor auditor;
+  locks.SetAuditor(&auditor);
+  ASSERT_EQ(locks.Request(1, 10, LockMode::kShared, true),
+            LockRequestOutcome::kGranted);
+  ASSERT_EQ(locks.Request(2, 10, LockMode::kExclusive, true),
+            LockRequestOutcome::kWaiting);
+  ASSERT_EQ(locks.Request(3, 30, LockMode::kExclusive, true),
+            LockRequestOutcome::kGranted);
+  locks.AuditChanges(&auditor, /*doomed=*/{});
+  EXPECT_EQ(auditor.violation_count(), 0) << auditor.Summary();
+  // Releasing txn 1 grants txn 2; the pass sees granule 10 and txn 2 and
+  // finds them consistent.
+  ASSERT_EQ(locks.ReleaseAll(1), std::vector<TxnId>{2});
+  locks.AuditChanges(&auditor, /*doomed=*/{});
+  locks.AuditCheck(&auditor, /*doomed=*/{});
+  EXPECT_EQ(auditor.violation_count(), 0) << auditor.Summary();
+  EXPECT_GT(locks.audit_scan_size(), 0u);
+}
+
+// A transaction holding more locks than the quadratic duplicate scan covers
+// takes the sorting path of the per-transaction rules; both checkers stay
+// clean on a consistent table.
+TEST(LockManagerAuditTest, LongHeldListsCheckClean) {
+  LockManager locks;
+  Auditor auditor;
+  locks.SetAuditor(&auditor);
+  for (ObjectId obj = 0; obj < 40; ++obj) {
+    ASSERT_EQ(locks.Request(1, obj, LockMode::kShared, true),
+              LockRequestOutcome::kGranted);
+  }
+  ASSERT_EQ(locks.Request(2, 39, LockMode::kExclusive, true),
+            LockRequestOutcome::kWaiting);
+  locks.AuditChanges(&auditor, /*doomed=*/{});
+  locks.AuditCheck(&auditor, /*doomed=*/{});
+  EXPECT_EQ(auditor.violation_count(), 0) << auditor.Summary();
+  EXPECT_EQ(locks.NumHeld(1), 40u);
+}
+
 // --- Full-engine sweep: every algorithm, auditing on ---
 
 class AuditedAlgorithmSweep : public testing::TestWithParam<std::string> {};
@@ -282,6 +466,93 @@ TEST_P(AuditedAlgorithmSweep, RunsViolationFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AuditedAlgorithmSweep,
+                         testing::ValuesIn(AllAlgorithms()),
+                         [](const testing::TestParamInfo<std::string>& param_info) {
+                           return param_info.param;
+                         });
+
+// --- Differential: incremental checks vs the full scan after every event ---
+
+/// Every recorded violation as one comparable line.
+std::vector<std::string> ViolationLines(const Auditor& auditor) {
+  std::vector<std::string> lines;
+  for (const AuditViolation& v : auditor.violations()) {
+    lines.push_back(std::string(AuditInvariantName(v.invariant)) + " t=" +
+                    std::to_string(v.time) + " txn=" + std::to_string(v.txn) +
+                    ": " + v.detail);
+  }
+  return lines;
+}
+
+/// Steps `system` one event at a time until `done()` or the queue drains.
+/// After every event (each transition happens inside one) the full scan runs
+/// into a shadow auditor beside the engine's own incremental checks; at the
+/// end both auditors must report the same violations, and none.
+template <typename Done>
+void ExpectIncrementalMatchesFullScan(const EngineConfig& config, Done done,
+                                      const std::string& label) {
+  Simulator sim;
+  ClosedSystem system(&sim, config);
+  Auditor shadow;
+  system.Prime();
+  int64_t events = 0;
+  while (!done(sim, system) && sim.Step()) {
+    system.AuditFullScan(&shadow);
+    ++events;
+  }
+  system.AuditFinal();
+  system.AuditFullScan(&shadow);
+  ASSERT_NE(system.auditor(), nullptr);
+  EXPECT_GT(events, 0) << label;
+  EXPECT_GT(system.total_commits(), 0) << label;
+  EXPECT_EQ(ViolationLines(*system.auditor()), ViolationLines(shadow))
+      << label;
+  EXPECT_EQ(system.auditor()->violation_count(), 0)
+      << label << ": " << system.auditor()->Summary();
+  EXPECT_EQ(shadow.violation_count(), 0) << label << ": " << shadow.Summary();
+}
+
+class AuditDifferentialTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(AuditDifferentialTest, SweepConfigMatchesFullScan) {
+  EngineConfig config;  // AuditedAlgorithmSweep's point.
+  config.workload.db_size = 100;
+  config.workload.tran_size = 5;
+  config.workload.min_size = 2;
+  config.workload.max_size = 8;
+  config.workload.write_prob = 0.4;
+  config.workload.num_terms = 20;
+  config.workload.mpl = 10;
+  config.workload.ext_think_time = 500 * kMillisecond;
+  config.workload.obj_io = FromMillis(5);
+  config.workload.obj_cpu = FromMillis(2);
+  config.resources = ResourceConfig::Finite(1, 2);
+  config.algorithm = GetParam();
+  config.seed = 2026;
+  config.audit = true;
+  ExpectIncrementalMatchesFullScan(
+      config,
+      [](const Simulator& sim, const ClosedSystem&) {
+        return sim.Now() >= 12 * kSecond;
+      },
+      GetParam());
+}
+
+TEST_P(AuditDifferentialTest, VerifyScenariosMatchFullScan) {
+  for (const verify::Scenario& scenario : verify::TinyScenarios(GetParam())) {
+    const int64_t target = static_cast<int64_t>(scenario.commit_target) *
+                           scenario.config.workload.num_terms;
+    ExpectIncrementalMatchesFullScan(
+        scenario.config,
+        [&](const Simulator& sim, const ClosedSystem& system) {
+          return system.total_commits() >= target ||
+                 sim.events_fired() >= scenario.event_budget;
+        },
+        GetParam() + "/" + scenario.name);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AuditDifferentialTest,
                          testing::ValuesIn(AllAlgorithms()),
                          [](const testing::TestParamInfo<std::string>& param_info) {
                            return param_info.param;

@@ -5,7 +5,8 @@
 // resource mode.
 // sim_alloc_test pins the kernel and the cc decision path in isolation; this
 // pin covers what they miss: service requests (docs/PERFORMANCE.md,
-// "Service path"), transaction generation and the ready queue.
+// "Service path"), transaction generation, the ready queue, and the auditor
+// (docs/AUDIT.md).
 //
 // Like sim_alloc_test, this binary must stay single-purpose: the counting
 // operator new is process-global.
@@ -86,6 +87,7 @@ struct AllocRun {
   std::size_t allocs = 0;
   int64_t commits = 0;
   int64_t restarts = 0;
+  int64_t audit_full_scans = 0;
 };
 
 /// Runs `config` for kWarmup, then counts heap allocations over the next
@@ -97,6 +99,7 @@ AllocRun MeasureSteadyState(const EngineConfig& config) {
   sim.RunUntil(kWarmup);
   const int64_t commits_before = system.total_commits();
   const int64_t restarts_before = system.total_restarts();
+  const int64_t scans_before = system.audit_full_scans();
   const std::size_t before = g_news;
   while (system.total_commits() - commits_before < kMeasuredCommits) {
     sim.RunUntil(sim.Now() + kSecond);
@@ -105,6 +108,7 @@ AllocRun MeasureSteadyState(const EngineConfig& config) {
   run.allocs = g_news - before;
   run.commits = system.total_commits() - commits_before;
   run.restarts = system.total_restarts() - restarts_before;
+  run.audit_full_scans = system.audit_full_scans() - scans_before;
   return run;
 }
 
@@ -133,6 +137,21 @@ TEST(EngineAllocTest, BlockingFiniteWithLogAndInternalThinkIsAllocationFree) {
   EXPECT_GE(run.commits, kMeasuredCommits);
   EXPECT_EQ(run.allocs, 0u)
       << "steady-state commits allocated on the log or internal-think path";
+}
+
+// The auditor runs at every transition (the incremental lock-table and
+// census checks) and its full scan runs periodically; neither may allocate
+// once its checker-owned scratch is warm.
+TEST(EngineAllocTest, AuditedBlockingIsAllocationFree) {
+  EngineConfig config = PaperPoint(ResourceConfig::Infinite());
+  config.audit = true;
+  config.obs.enabled = false;
+  const AllocRun run = MeasureSteadyState(config);
+  EXPECT_GE(run.commits, kMeasuredCommits);
+  EXPECT_GT(run.restarts, 0) << "the point should exercise restarts";
+  EXPECT_GT(run.audit_full_scans, 0)
+      << "the measured window should include a full audit scan";
+  EXPECT_EQ(run.allocs, 0u) << "steady-state commits allocated in the auditor";
 }
 
 TEST(EngineAllocTest, CounterSeesEngineAllocations) {

@@ -41,14 +41,15 @@ Rules (docs/VERIFICATION.md):
                    "<pool>_busy" etc. — are documented as families in the
                    same catalog but cannot be checked mechanically.)
   R8 dense-state   No std::unordered_map / std::unordered_set (use or
-                   include) in the cc hot path (src/cc, src/core): per-granule
-                   and per-transaction state lives in the dense containers of
-                   util/dense_table.h, which are both faster (direct indexing,
-                   slot reuse) and deterministic to iterate
+                   include) in the cc hot path (src/cc, src/core) or the
+                   auditor (src/audit), which runs at every transition:
+                   per-granule and per-transaction state lives in the dense
+                   containers of util/dense_table.h, which are both faster
+                   (direct indexing, slot reuse) and deterministic to iterate
                    (docs/PERFORMANCE.md "Dense CC state"). Allowlisted:
                    core/history.{h,cc} — the offline serialization-graph
-                   checker runs between batches, not per decision. (Offline
-                   checkers in audit/ and verify/ and the observability layer
+                   checker runs between batches, not per decision. (The
+                   offline verifier in verify/ and the observability layer
                    are outside the rule's directories.)
   R9 json-escape   Hand-written JSON string escaping — a \\u%04x format or a
                    local *Escape* helper — appears only in src/util/json.cc
@@ -115,7 +116,7 @@ R6_ALLOWLIST = {
     "src/verify/explorer.cc": 1,  # throw PrunedRunError (backtrack signal).
 }
 
-R8_HOT_DIRS = ("src/cc", "src/core")
+R8_HOT_DIRS = ("src/cc", "src/core", "src/audit")
 R8_TOKEN = re.compile(
     r"\bstd::unordered_(?:map|set)\b|#include\s*<unordered_(?:map|set)>"
 )
@@ -543,6 +544,8 @@ def self_test(tmp_root):
         # R8: an include and a usage in the hot path fire; the comment and
         # the allowlisted offline checker stay silent.
         (root / "src/cc/bad_hash_map.h").write_text(SELF_TEST_SNIPPETS["R8"])
+        (root / "src/audit").mkdir(parents=True)
+        (root / "src/audit/bad_hash_map.cc").write_text(SELF_TEST_SNIPPETS["R8"])
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
@@ -576,7 +579,8 @@ def self_test(tmp_root):
         expect("[R7]", 3)  # undocumented_counter + both "dup" sites.
         expect("undocumented_counter", 1)
         expect("documented_gauge", 0)  # Catalogued: silent.
-        expect("[R8]", 2)  # The include + the usage; not the comment.
+        expect("[R8]", 4)  # Include + usage in cc/ and audit/; no comments.
+        expect("audit/bad_hash_map.cc", 2)
         expect("history.cc", 0)  # Offline checker: allowlisted.
         expect("[R9]", 2)  # The helper + the format; not the comment.
         expect("bad_escape.cc:1", 1)
