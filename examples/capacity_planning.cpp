@@ -4,8 +4,8 @@
 //
 //   ./capacity_planning [key=value ...]   e.g. write_prob=0.5 db_size=500
 //
-// Keys are the config keys `run_config --help` lists; the hardware and the
-// mpl are swept here.
+// Keys are the config keys `run_config --help` lists, except the ones swept
+// here: the hardware (num_cpus, num_disks, infinite) and the mpl.
 //
 // For each hardware configuration, finds each algorithm's best throughput
 // across the mpl sweep — the operating point a well-tuned system would run
@@ -30,6 +30,11 @@ int main(int argc, char** argv) {
       config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
           ? ccsim::ApplyConfigOverrides(config, &base, &lengths)
           : ccsim::Status::InvalidArgument(error);
+  if (status.ok()) {
+    status = ccsim::RejectSweptKeys(
+        config, {"mpl", "num_cpus", "num_disks", "infinite"},
+        "swept by this program");
+  }
   if (!status.ok()) {
     std::cerr << "usage: capacity_planning [key=value ...]\n"
               << status.message() << "\n";

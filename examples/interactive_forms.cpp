@@ -6,7 +6,8 @@
 //   ./interactive_forms [key=value ...]    e.g. mpl=50 num_cpus=1 num_disks=2
 //
 // Sweeps the internal think time and reports the winner at each setting.
-// Keys are the config keys `run_config --help` lists.
+// Keys are the config keys `run_config --help` lists, except the swept
+// int_think_time and ext_think_time.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +27,10 @@ int main(int argc, char** argv) {
       config.ParseArgs(std::vector<std::string>(argv + 1, argv + argc), &error)
           ? ccsim::ApplyConfigOverrides(config, &base, &lengths)
           : ccsim::Status::InvalidArgument(error);
+  if (status.ok()) {
+    status = ccsim::RejectSweptKeys(
+        config, {"int_think_time", "ext_think_time"}, "swept by this program");
+  }
   if (!status.ok()) {
     std::cerr << "usage: interactive_forms [key=value ...]\n"
               << status.message() << "\n";

@@ -10,8 +10,9 @@
 //
 // `run_config --help` lists every recognized key: the sweep-level keys in
 // KnownKeys() below, then every EngineConfig / RunLengths key of the config
-// table (core/config_fields.h). Any other key, and any value that does not
-// parse, exits 2 with "<key>=<value>: <reason>".
+// table (core/config_fields.h) except `mpl`, which the sweep sets from
+// `mpls`. Any other key, and any value that does not parse, exits 2 with
+// "<key>=<value>: <reason>".
 //
 // --trace[=path] streams the transaction lifecycle trace (one line per
 // submit/block/resume/restart/commit) to stderr or to `path` while the sweep
@@ -22,6 +23,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config_fields.h"
@@ -33,6 +35,9 @@
 #include "util/str.h"
 
 namespace {
+
+/// The config table key the sweep sets itself, from `mpls`.
+constexpr std::string_view kSweptKey = "mpl";
 
 /// The values of run_config's own sweep-level keys, with their defaults.
 struct SweepKeys {
@@ -72,7 +77,7 @@ std::string Usage() {
   SweepKeys unused;
   std::vector<ccsim::OwnKey> keys = KnownKeys(&unused);
   for (const ccsim::ConfigField& field : ccsim::ConfigFields()) {
-    if (field.key == nullptr) continue;
+    if (field.key == nullptr || field.key == kSweptKey) continue;
     keys.push_back({field.key, {}, field.group, field.hint});
   }
   for (std::string_view group :
@@ -191,6 +196,10 @@ int main(int argc, char** argv) {
   SweepKeys keys;
   ccsim::Status status = ccsim::ApplyConfigOverrides(
       config, &sweep.base, &sweep.lengths, KnownKeys(&keys));
+  if (status.ok()) {
+    status = ccsim::RejectSweptKeys(config, {kSweptKey},
+                                    "swept by this program; use mpls");
+  }
   if (status.ok() && keys.sample_interval < 0.0) {
     status = ccsim::BadValue("sample_interval",
                              *config.GetString("sample_interval"),

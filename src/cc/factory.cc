@@ -1,30 +1,21 @@
 #include "cc/factory.h"
 
 #include "cc/basic_to.h"
-#include "cc/blocking.h"
-#include "cc/immediate_restart.h"
+#include "cc/locking.h"
 #include "cc/mvto.h"
 #include "cc/optimistic.h"
 #include "cc/optimistic_forward.h"
 #include "cc/static_locking.h"
-#include "cc/timestamp_locking.h"
 #include "util/check.h"
 
 namespace ccsim {
 
 std::unique_ptr<ConcurrencyControl> MakeConcurrencyControl(
     const std::string& name, VictimPolicy victim_policy) {
-  if (name == "blocking") return std::make_unique<BlockingCC>(victim_policy);
-  if (name == "immediate_restart") return std::make_unique<ImmediateRestartCC>();
+  if (LockingCC::Implements(name)) {
+    return std::make_unique<LockingCC>(name, victim_policy);
+  }
   if (name == "optimistic") return std::make_unique<OptimisticCC>();
-  if (name == "wound_wait") {
-    return std::make_unique<TimestampLockingCC>(
-        TimestampLockingCC::Flavor::kWoundWait);
-  }
-  if (name == "wait_die") {
-    return std::make_unique<TimestampLockingCC>(
-        TimestampLockingCC::Flavor::kWaitDie);
-  }
   if (name == "basic_to") return std::make_unique<BasicTimestampOrderingCC>();
   if (name == "mvto") {
     return std::make_unique<MultiversionTimestampOrderingCC>();
@@ -50,15 +41,15 @@ const std::vector<std::string>& AllAlgorithms() {
   return algorithms;
 }
 
+bool NeedsRestartDelay(const std::string& name) {
+  // The paper's immediate-restart, and wait-die (the younger transaction
+  // dies against an older holder that keeps running).
+  return name == "immediate_restart" || name == "wait_die";
+}
+
 RestartDelayMode DefaultRestartDelayMode(const std::string& name) {
-  // Algorithms whose restarts can collide with a still-running conflictor
-  // must sit out a delay, or the same conflict recurs instantly: the paper's
-  // immediate-restart, and wait-die (the younger transaction would die again
-  // against the same older holder at the same instant).
-  if (name == "immediate_restart" || name == "wait_die") {
-    return RestartDelayMode::kAdaptive;
-  }
-  return RestartDelayMode::kNone;
+  return NeedsRestartDelay(name) ? RestartDelayMode::kAdaptive
+                                 : RestartDelayMode::kNone;
 }
 
 }  // namespace ccsim

@@ -24,10 +24,16 @@ const std::vector<std::string>& PaperAlgorithms();
 /// All implemented algorithms (paper three + extensions).
 const std::vector<std::string>& AllAlgorithms();
 
-/// Conventional delay default: adaptive for immediate_restart (its restarts
-/// must outlast the conflicting transaction), none for the others (blocking
-/// restarts only on deadlock, optimistic conflicts are with already-committed
-/// transactions).
+/// True if the algorithm restarts a transaction against a conflictor that is
+/// still running, so the restart must sit out a delay: without one, the
+/// restarted transaction re-requests the same lock at the same simulated
+/// instant and the same conflict recurs forever.
+bool NeedsRestartDelay(const std::string& name);
+
+/// Conventional delay default: adaptive for the algorithms above (their
+/// restarts must outlast the conflicting transaction), none for the others
+/// (blocking restarts only on deadlock, optimistic conflicts are with
+/// already-committed transactions).
 RestartDelayMode DefaultRestartDelayMode(const std::string& name);
 
 }  // namespace ccsim

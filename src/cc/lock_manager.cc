@@ -262,13 +262,12 @@ void LockManager::AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const {
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-std::vector<TxnId> LockManager::HoldersOf(ObjectId obj) const {
-  std::vector<TxnId> holders;
+void LockManager::AppendHoldersOf(ObjectId obj, std::vector<TxnId>* out) const {
+  out->clear();
   const Entry* entry = table_.Find(obj);
-  if (entry == nullptr) return holders;
+  if (entry == nullptr) return;
   holders_.ForEach(entry->holders,
-                   [&](const Holder& h) { holders.push_back(h.txn); });
-  return holders;
+                   [&](const Holder& h) { out->push_back(h.txn); });
 }
 
 bool LockManager::HoldsAtLeast(TxnId txn, ObjectId obj, LockMode mode) const {

@@ -100,12 +100,14 @@ class LockManager {
 
   /// Allocation-free variant: clears `out`, then appends the same sorted,
   /// de-duplicated blocker set BlockersOf returns. Lets callers (the
-  /// deadlock detector's DFS frames, wound-wait) reuse their buffers.
+  /// deadlock detector's DFS frames, the locking conflict rules) reuse their
+  /// buffers.
   void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
 
-  /// Current holders of `obj`, in acquisition order; empty if unlocked.
-  /// (Blame attribution for denied requests, which leave no queue trace.)
-  std::vector<TxnId> HoldersOf(ObjectId obj) const;
+  /// Clears `out`, then appends the current holders of `obj` in acquisition
+  /// order (none if unlocked). Blame attribution for denied requests, which
+  /// leave no queue trace; like AppendBlockersOf, reuses the caller's buffer.
+  void AppendHoldersOf(ObjectId obj, std::vector<TxnId>* out) const;
 
   /// True if `txn` holds `obj` in a mode at least as strong as `mode`.
   bool HoldsAtLeast(TxnId txn, ObjectId obj, LockMode mode) const;

@@ -55,11 +55,7 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
     CCSIM_CHECK(config_.algorithm != "basic_to" && config_.algorithm != "mvto")
         << "x_lock_on_read_intent is not supported for timestamp ordering";
   }
-  // Algorithms that restart against a still-running conflictor livelock
-  // without a delay: the restarted transaction re-requests the same lock at
-  // the same simulated instant, forever.
-  if (config_.algorithm == "immediate_restart" ||
-      config_.algorithm == "wait_die") {
+  if (NeedsRestartDelay(config_.algorithm)) {
     CCSIM_CHECK(restart_policy_.mode() != RestartDelayMode::kNone)
         << config_.algorithm
         << " requires a restart delay (fixed or adaptive)";

@@ -226,4 +226,14 @@ Status ApplyConfigOverrides(const Config& config, EngineConfig* engine,
   return Status::Ok();
 }
 
+Status RejectSweptKeys(const Config& config,
+                       std::initializer_list<std::string_view> swept,
+                       std::string_view reason) {
+  for (std::string_view key : swept) {
+    std::optional<std::string> value = config.GetString(std::string(key));
+    if (value) return BadValue(key, *value, reason);
+  }
+  return Status::Ok();
+}
+
 }  // namespace ccsim

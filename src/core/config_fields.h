@@ -9,6 +9,7 @@
 #define CCSIM_CORE_CONFIG_FIELDS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -86,6 +87,13 @@ struct OwnKey {
 Status ApplyConfigOverrides(const Config& config, EngineConfig* engine,
                             RunLengths* lengths,
                             std::span<const OwnKey> own_keys = {});
+
+/// A BadValue "<key>=<value>: <reason>" for the first of `swept` present in
+/// `config`: keys a program sets itself while sweeping, which would
+/// otherwise be accepted and then overwritten.
+Status RejectSweptKeys(const Config& config,
+                       std::initializer_list<std::string_view> swept,
+                       std::string_view reason);
 
 }  // namespace ccsim
 

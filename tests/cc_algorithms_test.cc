@@ -5,12 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/blocking.h"
 #include "cc/factory.h"
-#include "cc/immediate_restart.h"
+#include "cc/locking.h"
 #include "cc/optimistic.h"
 #include "cc/optimistic_forward.h"
-#include "cc/timestamp_locking.h"
 
 namespace ccsim {
 namespace {
@@ -45,7 +43,7 @@ class BlockingTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeEngine engine_;
-  BlockingCC cc_;
+  LockingCC cc_{"blocking"};
 };
 
 TEST_F(BlockingTest, GrantsNonConflictingReads) {
@@ -154,7 +152,7 @@ class ImmediateRestartTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeEngine engine_;
-  ImmediateRestartCC cc_;
+  LockingCC cc_{"immediate_restart"};
 };
 
 TEST_F(ImmediateRestartTest, GrantsWithoutConflict) {
@@ -423,7 +421,7 @@ class WoundWaitTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeEngine engine_;
-  TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWoundWait};
+  LockingCC cc_{"wound_wait"};
 };
 
 TEST_F(WoundWaitTest, OlderRequesterWoundsYoungerHolder) {
@@ -470,7 +468,7 @@ class WaitDieTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeEngine engine_;
-  TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWaitDie};
+  LockingCC cc_{"wait_die"};
 };
 
 TEST_F(WaitDieTest, OlderRequesterWaits) {
@@ -501,6 +499,29 @@ TEST_F(WaitDieTest, GrantAfterHolderCommits) {
   cc_.Commit(kT2);
   ASSERT_EQ(engine_.granted.size(), 1u);
   EXPECT_EQ(engine_.granted[0], kT1);
+}
+
+// An upgrade jumps ahead of an older ordinary waiter, so it closes a cycle
+// the wound-wait rule never examined (the safety net's case). The safety
+// net restarts the youngest member whatever victim policy is configured.
+TEST(WoundWaitSafetyNetTest, RestartsYoungestWhateverThePolicy) {
+  constexpr TxnId kW = 1, kH = 2, kU = 3, kX = 4;  // Oldest to youngest.
+  FakeEngine engine;
+  auto cc = MakeConcurrencyControl("wound_wait", VictimPolicy::kOldest);
+  cc->SetCallbacks(engine.Callbacks());
+  for (TxnId txn : {kW, kH, kU, kX}) cc->OnBegin(txn, txn, txn);
+  ASSERT_EQ(cc->WriteRequest(kW, kB), CCDecision::kGranted);
+  ASSERT_EQ(cc->ReadRequest(kU, kA), CCDecision::kGranted);
+  ASSERT_EQ(cc->ReadRequest(kH, kA), CCDecision::kGranted);
+  ASSERT_EQ(cc->WriteRequest(kX, kA), CCDecision::kBlocked);  // Youngest.
+  ASSERT_EQ(cc->ReadRequest(kH, kB), CCDecision::kBlocked);   // H -> W.
+  // W queues behind X and wounds it.
+  ASSERT_EQ(cc->ReadRequest(kW, kA), CCDecision::kBlocked);
+  ASSERT_EQ(engine.wounded, std::vector<TxnId>{kX});
+  // U's upgrade waits for the older H and goes ahead of W: U -> H -> W -> U.
+  EXPECT_EQ(cc->WriteRequest(kU, kA), CCDecision::kRestart);
+  EXPECT_EQ(engine.wounded, std::vector<TxnId>{kX}) << "oldest member wounded";
+  EXPECT_EQ(cc->stats().deadlocks_detected, 1);
 }
 
 // ------------------------------------------------------------------ Factory

@@ -247,30 +247,51 @@ constexpr DigestPin kPins[] = {
     {"static_locking", 0xd126504c8b7e86a6ull, 201},
 };
 
+/// The contended point the pins were recorded at.
+MetricsReport RunPinPoint(const char* algorithm, VictimPolicy victim_policy) {
+  EngineConfig config;
+  config.workload.db_size = 100;  // Hot: ~10 granules per transaction of 100.
+  config.workload.tran_size = 5;
+  config.workload.min_size = 2;
+  config.workload.max_size = 8;
+  config.workload.write_prob = 0.4;
+  config.workload.num_terms = 20;
+  config.workload.mpl = 10;
+  config.workload.ext_think_time = 500 * kMillisecond;
+  config.workload.obj_io = FromMillis(5);
+  config.workload.obj_cpu = FromMillis(2);
+  config.resources = ResourceConfig::Finite(1, 2);
+  config.algorithm = algorithm;
+  config.victim_policy = victim_policy;
+  config.seed = 7;
+  config.audit = true;
+
+  Simulator sim;
+  ClosedSystem system(&sim, config);
+  return system.RunExperiment(3, 2 * kSecond, 1 * kSecond);
+}
+
 TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
   ASSERT_EQ(AllAlgorithms().size(), std::size(kPins));
   for (const DigestPin& pin : kPins) {
-    EngineConfig config;
-    config.workload.db_size = 100;  // Hot: ~10 granules per transaction of 100.
-    config.workload.tran_size = 5;
-    config.workload.min_size = 2;
-    config.workload.max_size = 8;
-    config.workload.write_prob = 0.4;
-    config.workload.num_terms = 20;
-    config.workload.mpl = 10;
-    config.workload.ext_think_time = 500 * kMillisecond;
-    config.workload.obj_io = FromMillis(5);
-    config.workload.obj_cpu = FromMillis(2);
-    config.resources = ResourceConfig::Finite(1, 2);
-    config.algorithm = pin.algorithm;
-    config.seed = 7;
-    config.audit = true;
-
-    Simulator sim;
-    ClosedSystem system(&sim, config);
-    MetricsReport report = system.RunExperiment(3, 2 * kSecond, 1 * kSecond);
+    MetricsReport report = RunPinPoint(pin.algorithm, VictimPolicy::kYoungest);
     EXPECT_EQ(report.replay_digest, pin.replay_digest) << pin.algorithm;
     EXPECT_EQ(report.commits, pin.commits) << pin.algorithm;
+    EXPECT_EQ(report.audit_violations, 0) << pin.algorithm;
+  }
+}
+
+// The configured victim policy picks blocking's deadlock victims only:
+// wound-wait's safety-net detector always restarts the youngest, and no
+// other algorithm runs a detector.
+TEST(DenseStateDigestTest, VictimPolicyReachesOnlyBlocking) {
+  for (const DigestPin& pin : kPins) {
+    MetricsReport report = RunPinPoint(pin.algorithm, VictimPolicy::kOldest);
+    if (std::string(pin.algorithm) == "blocking") {
+      EXPECT_NE(report.replay_digest, pin.replay_digest) << pin.algorithm;
+    } else {
+      EXPECT_EQ(report.replay_digest, pin.replay_digest) << pin.algorithm;
+    }
     EXPECT_EQ(report.audit_violations, 0) << pin.algorithm;
   }
 }
