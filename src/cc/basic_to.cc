@@ -19,7 +19,6 @@ void BasicTimestampOrderingCC::OnBegin(TxnId txn, SimTime first_start,
 
 CCDecision BasicTimestampOrderingCC::ReadRequest(TxnId txn, ObjectId obj) {
   TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
   ObjectState& object = objects_.Touch(obj);
 
   if (state.ts < object.wts) {
@@ -37,8 +36,7 @@ CCDecision BasicTimestampOrderingCC::ReadRequest(TxnId txn, ObjectId obj) {
     if (callbacks_.on_blame) {
       callbacks_.on_blame(txn, object.pending_writer, obj, BlameKind::kBlock);
     }
-    object.waiters.push_back(txn);
-    state.waiting_on = obj;
+    waits_.Park(txn, obj);
     return CCDecision::kBlocked;
   }
   if (state.ts >= object.rts) {
@@ -50,7 +48,6 @@ CCDecision BasicTimestampOrderingCC::ReadRequest(TxnId txn, ObjectId obj) {
 
 CCDecision BasicTimestampOrderingCC::WriteRequest(TxnId txn, ObjectId obj) {
   TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
   ObjectState& object = objects_.Touch(obj);
 
   if (state.ts < object.rts || state.ts < object.wts) {
@@ -76,8 +73,7 @@ CCDecision BasicTimestampOrderingCC::WriteRequest(TxnId txn, ObjectId obj) {
         callbacks_.on_blame(txn, object.pending_writer, obj,
                             BlameKind::kBlock);
       }
-      object.waiters.push_back(txn);
-      state.waiting_on = obj;
+      waits_.Park(txn, obj);
       return CCDecision::kBlocked;
     }
     // A newer write is already pending; ordering this one before it would
@@ -108,36 +104,19 @@ void BasicTimestampOrderingCC::ResolvePrewrites(TxnState& state, bool publish) {
     object->pending_ts = 0;
     // Wake everyone; each re-issues its request and re-runs the checks.
     // Smallest timestamps first so the next pending writer is the oldest.
-    // Swapping with the scratch buffer (instead of moving to a temporary)
-    // keeps both vectors' capacity in circulation: no steady-state churn.
-    waiters_scratch_.clear();
-    waiters_scratch_.swap(object->waiters);
-    std::sort(waiters_scratch_.begin(), waiters_scratch_.end(),
-              [this](TxnId a, TxnId b) {
-                return active_.At(a).ts < active_.At(b).ts;
-              });
-    for (TxnId waiter : waiters_scratch_) {
-      active_.At(waiter).waiting_on.reset();
-      callbacks_.on_granted(waiter);
-    }
+    std::vector<TxnId>& woken = waits_.TakeAll(obj);
+    std::sort(woken.begin(), woken.end(), [this](TxnId a, TxnId b) {
+      return active_.At(a).ts < active_.At(b).ts;
+    });
+    for (TxnId waiter : woken) callbacks_.on_granted(waiter);
   }
   state.prewrites.clear();
-}
-
-void BasicTimestampOrderingCC::RemoveFromWaiters(TxnId txn, TxnState& state) {
-  if (!state.waiting_on.has_value()) return;
-  ObjectState* object = objects_.Find(*state.waiting_on);
-  CCSIM_CHECK(object != nullptr);
-  object->waiters.erase(
-      std::remove(object->waiters.begin(), object->waiters.end(), txn),
-      object->waiters.end());
-  state.waiting_on.reset();
 }
 
 void BasicTimestampOrderingCC::Commit(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  CCSIM_CHECK(!state->waiting_on.has_value()) << "committing while waiting";
+  CCSIM_CHECK(!waits_.IsParked(txn)) << "committing while waiting";
   ResolvePrewrites(*state, /*publish=*/true);
   active_.Erase(txn);
 }
@@ -145,18 +124,9 @@ void BasicTimestampOrderingCC::Commit(TxnId txn) {
 void BasicTimestampOrderingCC::Abort(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  RemoveFromWaiters(txn, *state);
+  waits_.Leave(txn);
   ResolvePrewrites(*state, /*publish=*/false);
   active_.Erase(txn);
-}
-
-bool BasicTimestampOrderingCC::AuditTracksWaiter(TxnId txn) const {
-  const TxnState* state = active_.Find(txn);
-  if (state == nullptr || !state->waiting_on.has_value()) return false;
-  const ObjectState* object = objects_.Find(*state->waiting_on);
-  if (object == nullptr) return false;
-  const std::vector<TxnId>& waiters = object->waiters;
-  return std::find(waiters.begin(), waiters.end(), txn) != waiters.end();
 }
 
 void BasicTimestampOrderingCC::AuditCheck() const {
@@ -165,62 +135,48 @@ void BasicTimestampOrderingCC::AuditCheck() const {
     auditor_->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
   };
   objects_.ForEachTouched([&](ObjectId obj, const ObjectState& object) {
-    if (object.pending_writer != kInvalidTxn) {
-      const TxnState* writer = active_.Find(object.pending_writer);
-      if (writer == nullptr) {
-        std::ostringstream detail;
-        detail << "object " << obj << " has a pending write by an inactive txn";
-        report(object.pending_writer, detail.str());
-      } else {
-        if (writer->ts != object.pending_ts) {
-          std::ostringstream detail;
-          detail << "object " << obj << " pending ts " << object.pending_ts
-                 << " != writer ts " << writer->ts;
-          report(object.pending_writer, detail.str());
-        }
-        const std::vector<ObjectId>& prewrites = writer->prewrites;
-        if (std::find(prewrites.begin(), prewrites.end(), obj) ==
-            prewrites.end()) {
-          std::ostringstream detail;
-          detail << "pending writer of object " << obj
-                 << " does not list it among its prewrites";
-          report(object.pending_writer, detail.str());
-        }
-      }
-    } else if (!object.waiters.empty()) {
-      // Waiters only ever wait for a pending write; with none in flight
-      // nothing will ever wake them.
+    if (object.pending_writer == kInvalidTxn) return;
+    const TxnState* writer = active_.Find(object.pending_writer);
+    if (writer == nullptr) {
       std::ostringstream detail;
-      detail << object.waiters.size() << " waiter(s) on object " << obj
-             << " with no pending write to resolve";
-      auditor_->Report(AuditInvariant::kPermanentBlock, object.waiters.front(),
-                       detail.str());
+      detail << "object " << obj << " has a pending write by an inactive txn";
+      report(object.pending_writer, detail.str());
+      return;
     }
-    for (TxnId waiter : object.waiters) {
-      const TxnState* waiter_state = active_.Find(waiter);
-      if (waiter_state == nullptr) {
-        std::ostringstream detail;
-        detail << "inactive txn among waiters of object " << obj;
-        report(waiter, detail.str());
-        continue;
-      }
-      if (!waiter_state->waiting_on.has_value() ||
-          *waiter_state->waiting_on != obj) {
-        std::ostringstream detail;
-        detail << "waiter on object " << obj
-               << " does not record it as its waiting_on";
-        report(waiter, detail.str());
-      }
-      // Waits point only at strictly older pending writes, which keeps the
-      // wait graph acyclic (the algorithm's deadlock-freedom argument).
-      if (object.pending_writer != kInvalidTxn &&
-          waiter_state->ts <= object.pending_ts) {
-        std::ostringstream detail;
-        detail << "waiter ts " << waiter_state->ts
-               << " not younger than pending ts " << object.pending_ts
-               << " on object " << obj;
-        auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
-      }
+    if (writer->ts != object.pending_ts) {
+      std::ostringstream detail;
+      detail << "object " << obj << " pending ts " << object.pending_ts
+             << " != writer ts " << writer->ts;
+      report(object.pending_writer, detail.str());
+    }
+    const std::vector<ObjectId>& prewrites = writer->prewrites;
+    if (std::find(prewrites.begin(), prewrites.end(), obj) == prewrites.end()) {
+      std::ostringstream detail;
+      detail << "pending writer of object " << obj
+             << " does not list it among its prewrites";
+      report(object.pending_writer, detail.str());
+    }
+  });
+  waits_.AuditCheck(auditor_, active_);
+  waits_.ForEachWaiter([&](ObjectId obj, TxnId waiter) {
+    // Waiters only ever wait for a strictly older pending write: with none
+    // in flight nothing will ever wake them, and a wait on a younger one
+    // would break the wait graph's acyclicity (the algorithm's
+    // deadlock-freedom argument).
+    const TxnState* waiter_state = active_.Find(waiter);
+    if (waiter_state == nullptr) return;  // Reported by waits_.AuditCheck.
+    const ObjectState* object = objects_.Find(obj);
+    if (object == nullptr || object->pending_writer == kInvalidTxn) {
+      std::ostringstream detail;
+      detail << "waiter on object " << obj
+             << " with no pending write to resolve";
+      auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
+    } else if (waiter_state->ts <= object->pending_ts) {
+      std::ostringstream detail;
+      detail << "waiter ts " << waiter_state->ts
+             << " not younger than pending ts " << object->pending_ts
+             << " on object " << obj;
+      auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
     }
   });
   // txn -> object direction.

@@ -29,10 +29,10 @@
 #define CCSIM_CC_BASIC_TO_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/granule_waits.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -46,6 +46,8 @@ class BasicTimestampOrderingCC : public ConcurrencyControl {
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     objects_.Reserve(static_cast<size_t>(num_objects));
     active_.Reserve(static_cast<size_t>(num_txns));
+    waits_.Reserve(static_cast<size_t>(num_objects),
+                   static_cast<size_t>(num_txns));
   }
 
   void OnBegin(TxnId txn, SimTime first_start,
@@ -56,7 +58,9 @@ class BasicTimestampOrderingCC : public ConcurrencyControl {
   void Commit(TxnId txn) override;
   void Abort(TxnId txn) override;
 
-  bool AuditTracksWaiter(TxnId txn) const override;
+  bool AuditTracksWaiter(TxnId txn) const override {
+    return waits_.Tracks(txn);
+  }
   void AuditCheck() const override;
 
   /// The logical timestamp of an active transaction (tests).
@@ -67,13 +71,10 @@ class BasicTimestampOrderingCC : public ConcurrencyControl {
     uint64_t ts = 0;
     /// Objects this transaction has prewritten (pending writes to publish).
     std::vector<ObjectId> prewrites;
-    /// Object whose pending write this transaction is waiting on, if any.
-    std::optional<ObjectId> waiting_on;
     /// Slot-reuse reset; keeps the prewrite buffer's capacity.
     void Recycle() {
       ts = 0;
       prewrites.clear();
-      waiting_on.reset();
     }
   };
   struct ObjectState {
@@ -85,31 +86,17 @@ class BasicTimestampOrderingCC : public ConcurrencyControl {
     TxnId last_writer = kInvalidTxn;
     TxnId pending_writer = kInvalidTxn;
     uint64_t pending_ts = 0;
-    /// Transactions waiting for the pending write to resolve.
-    std::vector<TxnId> waiters;
-    /// Epoch-reuse reset; keeps the waiter buffer's capacity.
-    void Recycle() {
-      rts = 0;
-      wts = 0;
-      last_reader = kInvalidTxn;
-      last_writer = kInvalidTxn;
-      pending_writer = kInvalidTxn;
-      pending_ts = 0;
-      waiters.clear();
-    }
   };
 
   /// Resolves (commits with publish=true, discards otherwise) txn's pending
   /// prewrites and wakes every waiter on the touched objects.
   void ResolvePrewrites(TxnState& state, bool publish);
 
-  void RemoveFromWaiters(TxnId txn, TxnState& state);
-
   TxnSlotMap<TxnState> active_;
   GranuleTable<ObjectState> objects_;
+  /// Transactions waiting for an object's pending write to resolve.
+  GranuleWaits waits_;
   uint64_t next_ts_ = 1;
-  /// Waiter wake-up scratch (capacity circulates with object waiter lists).
-  std::vector<TxnId> waiters_scratch_;
 };
 
 }  // namespace ccsim

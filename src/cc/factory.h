@@ -13,8 +13,8 @@
 
 namespace ccsim {
 
-/// Names accepted by MakeConcurrencyControl: "blocking", "immediate_restart",
-/// "optimistic", "wound_wait", "wait_die".
+/// Builds the algorithm named `name`, one of AllAlgorithms(); an unknown name
+/// is a CHECK failure.
 std::unique_ptr<ConcurrencyControl> MakeConcurrencyControl(
     const std::string& name, VictimPolicy victim_policy = VictimPolicy::kYoungest);
 

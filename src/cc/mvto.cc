@@ -36,7 +36,6 @@ MultiversionTimestampOrderingCC::VersionFor(ObjectId obj, uint64_t ts) {
 CCDecision MultiversionTimestampOrderingCC::ReadRequest(TxnId txn,
                                                         ObjectId obj) {
   TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
   Version& version = VersionFor(obj, state.ts);
   ObjectState& object = *objects_.Find(obj);
 
@@ -49,8 +48,7 @@ CCDecision MultiversionTimestampOrderingCC::ReadRequest(TxnId txn,
       if (callbacks_.on_blame) {
         callbacks_.on_blame(txn, pending.writer, obj, BlameKind::kBlock);
       }
-      object.waiters.push_back(txn);
-      state.waiting_on = obj;
+      waits_.Park(txn, obj);
       return CCDecision::kBlocked;
     }
   }
@@ -67,7 +65,6 @@ CCDecision MultiversionTimestampOrderingCC::ReadRequest(TxnId txn,
 CCDecision MultiversionTimestampOrderingCC::WriteRequest(TxnId txn,
                                                          ObjectId obj) {
   TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
   Version& version = VersionFor(obj, state.ts);
   ObjectState& object = *objects_.Find(obj);
 
@@ -109,32 +106,13 @@ void MultiversionTimestampOrderingCC::ResolvePrewrites(TxnState& state,
     }
     object.pending.erase(pending);
 
-    // Swap with the scratch buffer (not a temporary) so both vectors'
-    // capacity stays in circulation: no steady-state churn.
-    waiters_scratch_.clear();
-    waiters_scratch_.swap(object.waiters);
-    std::sort(waiters_scratch_.begin(), waiters_scratch_.end(),
-              [this](TxnId a, TxnId b) {
-                return active_.At(a).ts < active_.At(b).ts;
-              });
-    for (TxnId waiter : waiters_scratch_) {
-      active_.At(waiter).waiting_on.reset();
-      callbacks_.on_granted(waiter);
-    }
+    std::vector<TxnId>& woken = waits_.TakeAll(obj);
+    std::sort(woken.begin(), woken.end(), [this](TxnId a, TxnId b) {
+      return active_.At(a).ts < active_.At(b).ts;
+    });
+    for (TxnId waiter : woken) callbacks_.on_granted(waiter);
   }
   state.prewrites.clear();
-}
-
-void MultiversionTimestampOrderingCC::RemoveFromWaiters(TxnId txn,
-                                                        TxnState& state) {
-  if (!state.waiting_on.has_value()) return;
-  ObjectState* found = objects_.Find(*state.waiting_on);
-  CCSIM_CHECK(found != nullptr);
-  ObjectState& object = *found;
-  object.waiters.erase(
-      std::remove(object.waiters.begin(), object.waiters.end(), txn),
-      object.waiters.end());
-  state.waiting_on.reset();
 }
 
 void MultiversionTimestampOrderingCC::CollectGarbage(ObjectState& object) {
@@ -155,7 +133,7 @@ void MultiversionTimestampOrderingCC::CollectGarbage(ObjectState& object) {
 void MultiversionTimestampOrderingCC::Commit(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  CCSIM_CHECK(!state->waiting_on.has_value()) << "committing while waiting";
+  CCSIM_CHECK(!waits_.IsParked(txn)) << "committing while waiting";
   ResolvePrewrites(*state, /*publish=*/true);
   active_.Erase(txn);
 }
@@ -163,7 +141,7 @@ void MultiversionTimestampOrderingCC::Commit(TxnId txn) {
 void MultiversionTimestampOrderingCC::Abort(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  RemoveFromWaiters(txn, *state);
+  waits_.Leave(txn);
   ResolvePrewrites(*state, /*publish=*/false);
   active_.Erase(txn);
 }
@@ -171,15 +149,6 @@ void MultiversionTimestampOrderingCC::Abort(TxnId txn) {
 size_t MultiversionTimestampOrderingCC::VersionCount(ObjectId obj) const {
   const ObjectState* object = objects_.Find(obj);
   return object == nullptr ? 0 : object->versions.size();
-}
-
-bool MultiversionTimestampOrderingCC::AuditTracksWaiter(TxnId txn) const {
-  const TxnState* state = active_.Find(txn);
-  if (state == nullptr || !state->waiting_on.has_value()) return false;
-  const ObjectState* object = objects_.Find(*state->waiting_on);
-  if (object == nullptr) return false;
-  const std::vector<TxnId>& waiters = object->waiters;
-  return std::find(waiters.begin(), waiters.end(), txn) != waiters.end();
 }
 
 void MultiversionTimestampOrderingCC::AuditCheck() const {
@@ -220,35 +189,26 @@ void MultiversionTimestampOrderingCC::AuditCheck() const {
         report(pending.writer, detail.str());
       }
     }
-    for (TxnId waiter : object.waiters) {
-      const TxnState* waiter_state = active_.Find(waiter);
-      if (waiter_state == nullptr) {
-        std::ostringstream detail;
-        detail << "inactive txn among waiters of object " << obj;
-        report(waiter, detail.str());
-        continue;
-      }
-      if (!waiter_state->waiting_on.has_value() ||
-          *waiter_state->waiting_on != obj) {
-        std::ostringstream detail;
-        detail << "waiter on object " << obj
-               << " does not record it as its waiting_on";
-        report(waiter, detail.str());
-        continue;
-      }
-      // A reader waits only for a strictly older pending version; if none
-      // exists, nothing will ever wake it (waits stay acyclic because every
-      // wait edge points from younger to older).
-      bool has_older_pending = false;
-      for (const PendingWrite& pending : object.pending) {
+  });
+  waits_.AuditCheck(auditor_, active_);
+  waits_.ForEachWaiter([&](ObjectId obj, TxnId waiter) {
+    // A reader waits only for a strictly older pending version; if none
+    // exists, nothing will ever wake it (waits stay acyclic because every
+    // wait edge points from younger to older).
+    const TxnState* waiter_state = active_.Find(waiter);
+    if (waiter_state == nullptr) return;  // Reported by waits_.AuditCheck.
+    const ObjectState* object = objects_.Find(obj);
+    bool has_older_pending = false;
+    if (object != nullptr) {
+      for (const PendingWrite& pending : object->pending) {
         has_older_pending |= pending.ts < waiter_state->ts;
       }
-      if (!has_older_pending) {
-        std::ostringstream detail;
-        detail << "waiter ts " << waiter_state->ts << " on object " << obj
-               << " has no older pending version to wait for";
-        auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
-      }
+    }
+    if (!has_older_pending) {
+      std::ostringstream detail;
+      detail << "waiter ts " << waiter_state->ts << " on object " << obj
+             << " has no older pending version to wait for";
+      auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
     }
   });
   active_.ForEach([&](TxnId txn, const TxnState& state) {

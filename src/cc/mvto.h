@@ -27,10 +27,10 @@
 #define CCSIM_CC_MVTO_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/granule_waits.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -44,6 +44,8 @@ class MultiversionTimestampOrderingCC : public ConcurrencyControl {
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     objects_.Reserve(static_cast<size_t>(num_objects));
     active_.Reserve(static_cast<size_t>(num_txns));
+    waits_.Reserve(static_cast<size_t>(num_objects),
+                   static_cast<size_t>(num_txns));
   }
 
   void OnBegin(TxnId txn, SimTime first_start,
@@ -54,7 +56,9 @@ class MultiversionTimestampOrderingCC : public ConcurrencyControl {
   void Commit(TxnId txn) override;
   void Abort(TxnId txn) override;
 
-  bool AuditTracksWaiter(TxnId txn) const override;
+  bool AuditTracksWaiter(TxnId txn) const override {
+    return waits_.Tracks(txn);
+  }
   void AuditCheck() const override;
 
   /// Number of committed versions currently kept for `obj` (tests/GC).
@@ -81,23 +85,19 @@ class MultiversionTimestampOrderingCC : public ConcurrencyControl {
     /// {wts=0, writer=kInvalidTxn}.
     std::vector<Version> versions;
     std::vector<PendingWrite> pending;
-    std::vector<TxnId> waiters;
     /// Epoch-reuse reset; keeps every buffer's capacity.
     void Recycle() {
       versions.clear();
       pending.clear();
-      waiters.clear();
     }
   };
   struct TxnState {
     uint64_t ts = 0;
     std::vector<ObjectId> prewrites;
-    std::optional<ObjectId> waiting_on;
     /// Slot-reuse reset; keeps the prewrite buffer's capacity.
     void Recycle() {
       ts = 0;
       prewrites.clear();
-      waiting_on.reset();
     }
   };
 
@@ -106,7 +106,6 @@ class MultiversionTimestampOrderingCC : public ConcurrencyControl {
   Version& VersionFor(ObjectId obj, uint64_t ts);
 
   void ResolvePrewrites(TxnState& state, bool publish);
-  void RemoveFromWaiters(TxnId txn, TxnState& state);
 
   /// Drops versions unreachable by every active transaction, keeping the
   /// newest reachable one per object.
@@ -114,9 +113,9 @@ class MultiversionTimestampOrderingCC : public ConcurrencyControl {
 
   TxnSlotMap<TxnState> active_;
   GranuleTable<ObjectState> objects_;
+  /// Readers waiting for an older pending version to resolve.
+  GranuleWaits waits_;
   uint64_t next_ts_ = 1;
-  /// Waiter wake-up scratch (capacity circulates with object waiter lists).
-  std::vector<TxnId> waiters_scratch_;
   /// GC trigger: collect when an object's version list exceeds this.
   static constexpr size_t kGcThreshold = 64;
 };

@@ -1,10 +1,7 @@
 #include "cc/optimistic.h"
 
 #include <algorithm>
-#include <sstream>
-#include <utility>
 
-#include "audit/audit.h"
 #include "util/check.h"
 
 namespace ccsim {
@@ -52,14 +49,13 @@ bool OptimisticCC::Validate(TxnId txn) {
       }
       return false;
     }
-    const FlushClaim* flushing = flushing_.Find(obj);
-    if (flushing != nullptr && flushing->count > 0) {
+    const TxnId flusher = claims_.Holder(obj);
+    if (flusher != kInvalidTxn) {
       // A validated transaction is writing this object; it will commit before
       // us, inside our lifetime.
       ++stats_.validation_failures;
       if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, flushing->writer, obj,
-                            BlameKind::kValidation);
+        callbacks_.on_blame(txn, flusher, obj, BlameKind::kValidation);
       }
       return false;
     }
@@ -67,11 +63,7 @@ bool OptimisticCC::Validate(TxnId txn) {
   // Validation succeeded: claim the write set for the flush phase so later
   // validators see the in-flight writes.
   state.validated = true;
-  for (ObjectId obj : state.writes) {
-    FlushClaim& claim = flushing_.Touch(obj);
-    ++claim.count;
-    claim.writer = txn;
-  }
+  claims_.Claim(txn, state.writes);
   return true;
 }
 
@@ -82,10 +74,8 @@ void OptimisticCC::Commit(TxnId txn) {
   SimTime now = callbacks_.now();
   for (ObjectId obj : state->writes) {
     committed_writes_.Touch(obj) = CommittedWrite{now, txn};
-    FlushClaim* flushing = flushing_.Find(obj);
-    CCSIM_CHECK(flushing != nullptr && flushing->count > 0);
-    --flushing->count;  // A drained claim (count 0) reads as absent.
   }
+  claims_.Release(txn, state->writes);
   active_.Erase(txn);
 }
 
@@ -94,13 +84,7 @@ void OptimisticCC::Abort(TxnId txn) {
   CCSIM_CHECK(state != nullptr);
   // Aborts only happen at validation time, before the write set is claimed —
   // but release any claim defensively if an engine extension aborts later.
-  if (state->validated) {
-    for (ObjectId obj : state->writes) {
-      FlushClaim* flushing = flushing_.Find(obj);
-      CCSIM_CHECK(flushing != nullptr && flushing->count > 0);
-      --flushing->count;
-    }
-  }
+  if (state->validated) claims_.Release(txn, state->writes);
   active_.Erase(txn);
 }
 
@@ -110,55 +94,7 @@ SimTime OptimisticCC::LastCommittedWrite(ObjectId obj) const {
 }
 
 void OptimisticCC::AuditCheck() const {
-  if (auditor_ == nullptr) return;
-  // The flush claims must be exactly the write sets of the validated
-  // transactions — a leaked claim blocks future validators forever, a lost
-  // claim lets a stale read pass validation.
-  std::vector<std::pair<ObjectId, int>> expected;
-  active_.ForEach([&](TxnId txn, const TxnState& state) {
-    (void)txn;
-    if (!state.validated) return;
-    for (ObjectId obj : state.writes) expected.emplace_back(obj, 1);
-  });
-  std::sort(expected.begin(), expected.end());
-  // Merge duplicate objects, summing their claim counts.
-  size_t merged = 0;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (merged > 0 && expected[merged - 1].first == expected[i].first) {
-      expected[merged - 1].second += expected[i].second;
-    } else {
-      expected[merged++] = expected[i];
-    }
-  }
-  expected.resize(merged);
-  auto expected_count_of = [&](ObjectId obj) {
-    auto it = std::lower_bound(
-        expected.begin(), expected.end(), std::make_pair(obj, 0),
-        [](const std::pair<ObjectId, int>& a, const std::pair<ObjectId, int>& b) {
-          return a.first < b.first;
-        });
-    return it != expected.end() && it->first == obj ? it->second : 0;
-  };
-  flushing_.ForEachTouched([&](ObjectId obj, const FlushClaim& claim) {
-    if (claim.count == 0) return;  // Dormant slot: logically absent.
-    if (claim.count != expected_count_of(obj)) {
-      std::ostringstream detail;
-      detail << "object " << obj << " has " << claim.count
-             << " flush claim(s) but " << expected_count_of(obj)
-             << " validated writer(s)";
-      auditor_->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
-                       detail.str());
-    }
-  });
-  for (const auto& [obj, count] : expected) {
-    const FlushClaim* claim = flushing_.Find(obj);
-    if ((claim == nullptr || claim->count == 0) && count > 0) {
-      std::ostringstream detail;
-      detail << "validated write of object " << obj << " holds no flush claim";
-      auditor_->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
-                       detail.str());
-    }
-  }
+  if (auditor_ != nullptr) claims_.AuditCheck(auditor_, active_);
 }
 
 }  // namespace ccsim

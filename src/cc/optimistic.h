@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/flush_claims.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -26,7 +27,7 @@ class OptimisticCC : public ConcurrencyControl {
 
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     committed_writes_.Reserve(static_cast<size_t>(num_objects));
-    flushing_.Reserve(static_cast<size_t>(num_objects));
+    claims_.Reserve(static_cast<size_t>(num_objects));
     active_.Reserve(static_cast<size_t>(num_txns));
   }
 
@@ -67,19 +68,12 @@ class OptimisticCC : public ConcurrencyControl {
     SimTime time = -1;
     TxnId writer = kInvalidTxn;  ///< Who wrote it (blame attribution).
   };
-  struct FlushClaim {
-    int count = 0;  ///< Validated writers flushing (at most 1); 0 = absent.
-    TxnId writer = kInvalidTxn;  ///< The claiming writer.
-  };
 
   TxnSlotMap<TxnState> active_;
   /// Last committed write per object (time + writer).
   GranuleTable<CommittedWrite> committed_writes_;
-  /// Objects being flushed by validated-but-uncommitted transactions
-  /// (count is at most 1 by construction, since a second validator
-  /// conflicts and restarts). A dormant slot with count 0 is equivalent to
-  /// an absent entry.
-  GranuleTable<FlushClaim> flushing_;
+  /// Objects being flushed by validated-but-uncommitted transactions.
+  FlushClaims claims_;
 };
 
 }  // namespace ccsim

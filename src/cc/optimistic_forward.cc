@@ -1,8 +1,6 @@
 #include "cc/optimistic_forward.h"
 
-#include <algorithm>
 #include <sstream>
-#include <utility>
 
 #include "audit/audit.h"
 #include "util/check.h"
@@ -16,45 +14,36 @@ void ForwardOptimisticCC::OnBegin(TxnId txn, SimTime first_start,
   active_.Upsert(txn).Recycle();  // Fresh state; buffers keep their capacity.
 }
 
-CCDecision ForwardOptimisticCC::ReadRequest(TxnId txn, ObjectId obj) {
-  TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
-  const FlushClaim* flushing = flushing_.Find(obj);
-  if (flushing != nullptr && flushing->count > 0) {
-    // The object is mid-flush by a validated transaction; reading now would
-    // observe the pre-image with no later check to catch it. Wait out the
-    // flush (it completes at the flusher's commit).
-    ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
-    }
-    waiters_.Touch(obj).push_back(txn);
-    state.waiting_on = obj;
-    return CCDecision::kBlocked;
+bool ForwardOptimisticCC::WaitOutFlush(TxnId txn, ObjectId obj) {
+  const TxnId flusher = claims_.Holder(obj);
+  if (flusher == kInvalidTxn) return false;
+  ++stats_.lock_conflicts;
+  if (callbacks_.on_blame) {
+    callbacks_.on_blame(txn, flusher, obj, BlameKind::kBlock);
   }
+  waits_.Park(txn, obj);
+  return true;
+}
+
+CCDecision ForwardOptimisticCC::ReadRequest(TxnId txn, ObjectId obj) {
+  // The object is mid-flush by a validated transaction; reading now would
+  // observe the pre-image with no later check to catch it. Wait out the
+  // flush (it completes at the flusher's commit).
+  TxnState& state = active_.At(txn);
+  if (WaitOutFlush(txn, obj)) return CCDecision::kBlocked;
   state.reads.insert(obj);
   return CCDecision::kGranted;
 }
 
 CCDecision ForwardOptimisticCC::WriteRequest(TxnId txn, ObjectId obj) {
-  TxnState& state = active_.At(txn);
-  state.waiting_on.reset();
   // Written objects are also read in this model (and under static write
   // locking the engine declares the write *instead of* the read), so a
   // write declaration is subject to the same mid-flush rule as a read:
   // proceeding now would observe the pre-image with no later check to
   // catch it — the flusher's forward validation already ran and cannot
   // have wounded us.
-  const FlushClaim* flushing = flushing_.Find(obj);
-  if (flushing != nullptr && flushing->count > 0) {
-    ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
-    }
-    waiters_.Touch(obj).push_back(txn);
-    state.waiting_on = obj;
-    return CCDecision::kBlocked;
-  }
+  TxnState& state = active_.At(txn);
+  if (WaitOutFlush(txn, obj)) return CCDecision::kBlocked;
   state.reads.insert(obj);
   for (ObjectId existing : state.writes) {
     if (existing == obj) return CCDecision::kGranted;
@@ -65,16 +54,15 @@ CCDecision ForwardOptimisticCC::WriteRequest(TxnId txn, ObjectId obj) {
 
 bool ForwardOptimisticCC::Validate(TxnId txn) {
   TxnState& state = active_.At(txn);
-  CCSIM_CHECK(!state.waiting_on.has_value()) << "validating while waiting";
+  CCSIM_CHECK(!waits_.IsParked(txn)) << "validating while waiting";
   // Defensive: a read admitted before an overlapping flush began means an
   // earlier validator serialized ahead of us on an object we already read.
   for (ObjectId obj : state.reads) {
-    const FlushClaim* flushing = flushing_.Find(obj);
-    if (flushing != nullptr && flushing->count > 0) {
+    const TxnId flusher = claims_.Holder(obj);
+    if (flusher != kInvalidTxn) {
       ++stats_.validation_failures;
       if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, flushing->writer, obj,
-                            BlameKind::kValidation);
+        callbacks_.on_blame(txn, flusher, obj, BlameKind::kValidation);
       }
       return false;
     }
@@ -99,41 +87,15 @@ bool ForwardOptimisticCC::Validate(TxnId txn) {
     });
   }
   state.validated = true;
-  for (ObjectId obj : state.writes) {
-    FlushClaim& claim = flushing_.Touch(obj);
-    ++claim.count;
-    claim.writer = txn;
-  }
+  claims_.Claim(txn, state.writes);
   return true;
 }
 
-void ForwardOptimisticCC::ReleaseFlushClaims(TxnState& state) {
-  if (!state.validated) return;
+void ForwardOptimisticCC::EndFlush(TxnId txn, const TxnState& state) {
+  claims_.Release(txn, state.writes);
   for (ObjectId obj : state.writes) {
-    FlushClaim* flushing = flushing_.Find(obj);
-    CCSIM_CHECK(flushing != nullptr && flushing->count > 0);
-    if (--flushing->count > 0) continue;
-    std::vector<TxnId>* waiting = waiters_.Find(obj);
-    if (waiting == nullptr || waiting->empty()) continue;
-    // Swap with the scratch buffer so both vectors' capacity stays in
-    // circulation: no steady-state churn.
-    woken_scratch_.clear();
-    woken_scratch_.swap(*waiting);
-    for (TxnId reader : woken_scratch_) {
-      active_.At(reader).waiting_on.reset();
-      callbacks_.on_granted(reader);
-    }
+    for (TxnId waiter : waits_.TakeAll(obj)) callbacks_.on_granted(waiter);
   }
-}
-
-void ForwardOptimisticCC::RemoveFromWaiters(TxnId txn, TxnState& state) {
-  if (!state.waiting_on.has_value()) return;
-  std::vector<TxnId>* waiting = waiters_.Find(*state.waiting_on);
-  if (waiting != nullptr) {
-    waiting->erase(std::remove(waiting->begin(), waiting->end(), txn),
-                   waiting->end());
-  }
-  state.waiting_on.reset();
 }
 
 void ForwardOptimisticCC::Commit(TxnId txn) {
@@ -141,99 +103,29 @@ void ForwardOptimisticCC::Commit(TxnId txn) {
   CCSIM_CHECK(state != nullptr);
   CCSIM_CHECK(state->validated) << "commit without validation";
   CCSIM_CHECK(!state->doomed) << "doomed txn reached commit";
-  ReleaseFlushClaims(*state);
+  EndFlush(txn, *state);
   active_.Erase(txn);
 }
 
 void ForwardOptimisticCC::Abort(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  RemoveFromWaiters(txn, *state);
-  ReleaseFlushClaims(*state);
+  waits_.Leave(txn);
+  if (state->validated) EndFlush(txn, *state);
   active_.Erase(txn);
-}
-
-bool ForwardOptimisticCC::AuditTracksWaiter(TxnId txn) const {
-  const TxnState* state = active_.Find(txn);
-  if (state == nullptr || !state->waiting_on.has_value()) return false;
-  const std::vector<TxnId>* waiting = waiters_.Find(*state->waiting_on);
-  if (waiting == nullptr) return false;
-  return std::find(waiting->begin(), waiting->end(), txn) != waiting->end();
 }
 
 void ForwardOptimisticCC::AuditCheck() const {
   if (auditor_ == nullptr) return;
-  auto report = [this](TxnId txn, const std::string& detail) {
-    auditor_->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
-  };
-  // Flush claims must be exactly the validated transactions' write sets.
-  std::vector<std::pair<ObjectId, int>> expected;
-  active_.ForEach([&](TxnId txn, const TxnState& state) {
-    (void)txn;
-    if (!state.validated) return;
-    for (ObjectId obj : state.writes) expected.emplace_back(obj, 1);
-  });
-  std::sort(expected.begin(), expected.end());
-  size_t merged = 0;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (merged > 0 && expected[merged - 1].first == expected[i].first) {
-      expected[merged - 1].second += expected[i].second;
-    } else {
-      expected[merged++] = expected[i];
-    }
-  }
-  expected.resize(merged);
-  auto expected_count_of = [&](ObjectId obj) {
-    auto it = std::lower_bound(
-        expected.begin(), expected.end(), std::make_pair(obj, 0),
-        [](const std::pair<ObjectId, int>& a, const std::pair<ObjectId, int>& b) {
-          return a.first < b.first;
-        });
-    return it != expected.end() && it->first == obj ? it->second : 0;
-  };
-  flushing_.ForEachTouched([&](ObjectId obj, const FlushClaim& claim) {
-    if (claim.count == 0) return;  // Dormant slot: logically absent.
-    if (claim.count != expected_count_of(obj)) {
-      std::ostringstream detail;
-      detail << "object " << obj << " has " << claim.count
-             << " flush claim(s) but " << expected_count_of(obj)
-             << " validated writer(s)";
-      report(kInvalidTxn, detail.str());
-    }
-  });
-  for (const auto& [obj, count] : expected) {
-    const FlushClaim* claim = flushing_.Find(obj);
-    if ((claim == nullptr || claim->count == 0) && count > 0) {
-      std::ostringstream detail;
-      detail << "validated write of object " << obj << " holds no flush claim";
-      report(kInvalidTxn, detail.str());
-    }
-  }
+  claims_.AuditCheck(auditor_, active_);
+  waits_.AuditCheck(auditor_, active_);
   // Waiters wait only on objects actually mid-flush; anything else never
   // gets a wake-up.
-  waiters_.ForEachTouched([&](ObjectId obj, const std::vector<TxnId>& list) {
-    if (list.empty()) return;  // Drained slot: logically absent.
-    const FlushClaim* claim = flushing_.Find(obj);
-    if (claim == nullptr || claim->count == 0) {
+  waits_.ForEachWaiter([&](ObjectId obj, TxnId waiter) {
+    if (claims_.Holder(obj) == kInvalidTxn) {
       std::ostringstream detail;
-      detail << list.size() << " waiter(s) on object " << obj
-             << " which is not being flushed";
-      auditor_->Report(AuditInvariant::kPermanentBlock, list.front(),
-                       detail.str());
-    }
-    for (TxnId waiter : list) {
-      const TxnState* state = active_.Find(waiter);
-      if (state == nullptr) {
-        std::ostringstream detail;
-        detail << "inactive txn among waiters of object " << obj;
-        report(waiter, detail.str());
-      } else if (!state->waiting_on.has_value() ||
-                 *state->waiting_on != obj) {
-        std::ostringstream detail;
-        detail << "waiter on object " << obj
-               << " does not record it as its waiting_on";
-        report(waiter, detail.str());
-      }
+      detail << "waiter on object " << obj << " which is not being flushed";
+      auditor_->Report(AuditInvariant::kPermanentBlock, waiter, detail.str());
     }
   });
 }

@@ -28,10 +28,11 @@
 #ifndef CCSIM_CC_OPTIMISTIC_FORWARD_H_
 #define CCSIM_CC_OPTIMISTIC_FORWARD_H_
 
-#include <optional>
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/flush_claims.h"
+#include "cc/granule_waits.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -43,8 +44,9 @@ class ForwardOptimisticCC : public ConcurrencyControl {
   std::string name() const override { return "optimistic_forward"; }
 
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
-    flushing_.Reserve(static_cast<size_t>(num_objects));
-    waiters_.Reserve(static_cast<size_t>(num_objects));
+    claims_.Reserve(static_cast<size_t>(num_objects));
+    waits_.Reserve(static_cast<size_t>(num_objects),
+                   static_cast<size_t>(num_txns));
     active_.Reserve(static_cast<size_t>(num_txns));
   }
 
@@ -56,7 +58,9 @@ class ForwardOptimisticCC : public ConcurrencyControl {
   void Commit(TxnId txn) override;
   void Abort(TxnId txn) override;
 
-  bool AuditTracksWaiter(TxnId txn) const override;
+  bool AuditTracksWaiter(TxnId txn) const override {
+    return waits_.Tracks(txn);
+  }
   void AuditCheck() const override;
 
  private:
@@ -65,37 +69,27 @@ class ForwardOptimisticCC : public ConcurrencyControl {
     std::vector<ObjectId> writes;
     bool validated = false;
     bool doomed = false;  ///< Wounded by a validator; engine abort pending.
-    /// Flushing object this transaction's read is waiting on, if any.
-    std::optional<ObjectId> waiting_on;
     /// Slot-reuse reset; keeps the access-set buffers' capacity.
     void Recycle() {
       reads.clear();
       writes.clear();
       validated = false;
       doomed = false;
-      waiting_on.reset();
     }
   };
 
-  /// Releases txn's flush claims (validated transactions only) and wakes the
-  /// readers waiting on objects whose flush count reached zero.
-  void ReleaseFlushClaims(TxnState& state);
-  void RemoveFromWaiters(TxnId txn, TxnState& state);
+  /// A validated transaction's flush is over (commit or abort): releases its
+  /// claims and wakes the transactions waiting on them.
+  void EndFlush(TxnId txn, const TxnState& state);
 
-  struct FlushClaim {
-    int count = 0;               ///< Validated writers flushing; 0 = absent.
-    TxnId writer = kInvalidTxn;  ///< The claiming writer (blame attribution).
-  };
+  /// Blocks `txn` behind the validated writer flushing `obj`, if any.
+  bool WaitOutFlush(TxnId txn, ObjectId obj);
 
   TxnSlotMap<TxnState> active_;
-  /// Objects being flushed by validated-but-uncommitted transactions. A
-  /// dormant slot with count 0 is equivalent to an absent entry.
-  GranuleTable<FlushClaim> flushing_;
-  /// Readers waiting for a flush to finish, per object (an empty list is
-  /// equivalent to an absent entry).
-  GranuleTable<std::vector<TxnId>> waiters_;
-  /// Wake-up scratch (capacity circulates with the per-object lists).
-  std::vector<TxnId> woken_scratch_;
+  /// Objects being flushed by validated-but-uncommitted transactions.
+  FlushClaims claims_;
+  /// Transactions waiting for a flush to finish.
+  GranuleWaits waits_;
 };
 
 }  // namespace ccsim

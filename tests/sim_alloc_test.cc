@@ -11,7 +11,8 @@
 // The same pin covers the concurrency-control decision path: post-warmup,
 // a blocking-CC request/block/grant/commit cycle must not allocate either
 // (the dense tables, pooled waiter nodes, and recycled per-transaction
-// buffers of docs/PERFORMANCE.md "Dense CC state"). Neither pin exercises
+// buffers of docs/PERFORMANCE.md "Dense CC state"), nor may a basic_to or
+// optimistic_forward wait on any reserved granule (cc/granule_waits.h). Neither pin exercises
 // service requests, workload generation or deadlock resolution; those are
 // pinned end to end, in a running engine, by engine_alloc_test.
 #include <cstddef>
@@ -144,6 +145,81 @@ TEST(SimAllocTest, BlockingDecisionPathIsAllocationFree) {
   EXPECT_EQ(g_news - before, 0u)
       << "steady-state cc decisions allocated; a dense table, waiter pool, "
          "or per-transaction buffer is growing instead of recycling";
+}
+
+/// Drives one wait/wake cycle per granule through `cc` after warming it up
+/// on granule 0 only, so every measured wait is the first on its granule:
+/// parking a transaction on a reserved granule must not allocate, whether or
+/// not that granule ever had a waiter. `cycle(cc, a, obj)` runs transactions
+/// a and a + 1 through one cycle on `obj`; `granted` collects wake-ups.
+template <typename Cycle>
+void ExpectWaitsAllocationFree(const char* algorithm, Cycle&& cycle) {
+  constexpr ObjectId kObjects = 64;
+  std::unique_ptr<ConcurrencyControl> cc = MakeConcurrencyControl(algorithm);
+  cc->ReserveCapacity(kObjects, /*num_txns=*/8);
+  std::vector<TxnId> granted;
+  granted.reserve(16);
+  SimTime clock = 0;
+  CCCallbacks callbacks;
+  callbacks.on_granted = [&granted](TxnId id) { granted.push_back(id); };
+  callbacks.on_wound = [](TxnId) {};
+  callbacks.now = [&clock] { return ++clock; };
+  cc->SetCallbacks(std::move(callbacks));
+
+  TxnId next = 1;
+  for (int i = 0; i < 100; ++i, next += 2) cycle(*cc, next, 0, granted);
+
+  const std::size_t before = g_news;
+  for (ObjectId obj = 1; obj < kObjects; ++obj, next += 2) {
+    cycle(*cc, next, obj, granted);
+  }
+  EXPECT_EQ(g_news - before, 0u)
+      << algorithm << ": a wait on a reserved granule allocated";
+}
+
+TEST(SimAllocTest, BasicToWaitOnEveryGranuleIsAllocationFree) {
+  // a prewrites obj, younger b's read waits for it, a's commit wakes b.
+  ExpectWaitsAllocationFree(
+      "basic_to", [](ConcurrencyControl& cc, TxnId a, ObjectId obj,
+                     std::vector<TxnId>& granted) {
+        const TxnId b = a + 1;
+        cc.OnBegin(a, 0, 0);
+        cc.OnBegin(b, 0, 0);
+        ASSERT_EQ(cc.ReadRequest(a, obj), CCDecision::kGranted);
+        ASSERT_EQ(cc.WriteRequest(a, obj), CCDecision::kGranted);
+        ASSERT_EQ(cc.ReadRequest(b, obj), CCDecision::kBlocked);
+        ASSERT_TRUE(cc.Validate(a));
+        cc.Commit(a);
+        ASSERT_EQ(granted.size(), 1u);
+        ASSERT_EQ(granted[0], b);
+        granted.clear();
+        ASSERT_EQ(cc.ReadRequest(b, obj), CCDecision::kGranted);
+        ASSERT_TRUE(cc.Validate(b));
+        cc.Commit(b);
+      });
+}
+
+TEST(SimAllocTest, ForwardOptimisticWaitOnEveryGranuleIsAllocationFree) {
+  // a validates a write of obj, b's read waits out the flush, a's commit
+  // wakes b.
+  ExpectWaitsAllocationFree(
+      "optimistic_forward", [](ConcurrencyControl& cc, TxnId a, ObjectId obj,
+                               std::vector<TxnId>& granted) {
+        const TxnId b = a + 1;
+        cc.OnBegin(a, 0, 0);
+        ASSERT_EQ(cc.ReadRequest(a, obj), CCDecision::kGranted);
+        ASSERT_EQ(cc.WriteRequest(a, obj), CCDecision::kGranted);
+        ASSERT_TRUE(cc.Validate(a));
+        cc.OnBegin(b, 0, 0);
+        ASSERT_EQ(cc.ReadRequest(b, obj), CCDecision::kBlocked);
+        cc.Commit(a);
+        ASSERT_EQ(granted.size(), 1u);
+        ASSERT_EQ(granted[0], b);
+        granted.clear();
+        ASSERT_EQ(cc.ReadRequest(b, obj), CCDecision::kGranted);
+        ASSERT_TRUE(cc.Validate(b));
+        cc.Commit(b);
+      });
 }
 
 TEST(SimAllocTest, OversizedCaptureFallsBackToHeapBox) {
