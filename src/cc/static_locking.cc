@@ -145,17 +145,19 @@ CCDecision StaticLockingCC::WriteRequest(TxnId txn, ObjectId obj) {
 }
 
 void StaticLockingCC::ScanWaiters() {
-  for (auto it = waiters_.begin(); it != waiters_.end();) {
-    TxnState& state = active_.At(*it);
-    if (CanAcquire(state, *it)) {
-      Acquire(state, *it);
-      TxnId granted = *it;
-      it = waiters_.erase(it);
-      callbacks_.on_granted(granted);
+  // Granted waiters drop out; the rest close ranks in arrival order.
+  size_t kept = 0;
+  for (size_t i = 0; i < waiters_.size(); ++i) {
+    const TxnId waiter = waiters_[i];
+    TxnState& state = active_.At(waiter);
+    if (CanAcquire(state, waiter)) {
+      Acquire(state, waiter);
+      callbacks_.on_granted(waiter);
     } else {
-      ++it;
+      waiters_[kept++] = waiter;
     }
   }
+  waiters_.resize(kept);
 }
 
 void StaticLockingCC::Commit(TxnId txn) {
@@ -170,7 +172,8 @@ void StaticLockingCC::Commit(TxnId txn) {
 void StaticLockingCC::Abort(TxnId txn) {
   TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
-  waiters_.remove(txn);
+  waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), txn),
+                 waiters_.end());
   Release(*state, txn);
   active_.Erase(txn);
   ScanWaiters();

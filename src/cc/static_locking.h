@@ -20,7 +20,6 @@
 #define CCSIM_CC_STATIC_LOCKING_H_
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "cc/concurrency_control.h"
@@ -38,6 +37,7 @@ class StaticLockingCC : public ConcurrencyControl {
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
     objects_.Reserve(static_cast<size_t>(num_objects));
     active_.Reserve(static_cast<size_t>(num_txns));
+    waiters_.reserve(static_cast<size_t>(num_txns));
   }
 
   bool needs_predeclaration() const override { return true; }
@@ -106,7 +106,7 @@ class StaticLockingCC : public ConcurrencyControl {
   /// erased, so the "lock table size" gauge counts occupancy instead).
   size_t occupied_count_ = 0;
   /// Arrival-ordered waiters.
-  std::list<TxnId> waiters_;
+  std::vector<TxnId> waiters_;
 };
 
 }  // namespace ccsim

@@ -263,23 +263,24 @@ void ClosedSystem::Activate(TxnId id) {
   }
   cc_->OnBegin(id, txn.first_submit, txn.incarnation_start);
   if (cc_->needs_predeclaration()) {
-    auto granules_of = [this](const std::vector<ObjectId>& objects) {
-      std::vector<ObjectId> granules;
+    auto granules_of = [this](const std::vector<ObjectId>& objects,
+                              std::vector<ObjectId>* granules) {
+      granules->clear();
       for (ObjectId obj : objects) {
         ObjectId granule = GranuleOf(obj);
-        if (std::find(granules.begin(), granules.end(), granule) ==
-            granules.end()) {
-          granules.push_back(granule);
+        if (std::find(granules->begin(), granules->end(), granule) ==
+            granules->end()) {
+          granules->push_back(granule);
         }
       }
-      return granules;
     };
-    const std::vector<ObjectId> read_granules = granules_of(txn.spec.reads);
-    const std::vector<ObjectId> write_granules = granules_of(txn.write_set);
-    CCDecision decision = cc_->Predeclare(id, read_granules, write_granules);
+    granules_of(txn.spec.reads, &predeclared_reads_);
+    granules_of(txn.write_set, &predeclared_writes_);
+    CCDecision decision =
+        cc_->Predeclare(id, predeclared_reads_, predeclared_writes_);
     AuditFold(AuditOp::kPredeclare, id, static_cast<int64_t>(decision),
-              static_cast<int64_t>(read_granules.size() +
-                                   write_granules.size()));
+              static_cast<int64_t>(predeclared_reads_.size() +
+                                   predeclared_writes_.size()));
     if (!ApplyDecision(txn, decision)) return;
   }
   NextStep(id);

@@ -63,8 +63,7 @@ enum class SourceMode {
 struct EngineConfig {
   WorkloadParams workload;
   ResourceConfig resources;
-  /// One of: blocking, immediate_restart, optimistic, wound_wait, wait_die,
-  /// basic_to, mvto.
+  /// One of AllAlgorithms() (cc/factory.h).
   std::string algorithm = "blocking";
   SourceMode source_mode = SourceMode::kClosed;
   /// Mean Poisson arrival rate (transactions/second) for SourceMode::kOpen.
@@ -455,6 +454,11 @@ class ClosedSystem {
   /// (id, incarnation); the window timer is pending_group_flush_.
   std::vector<std::pair<TxnId, int>> group_commit_queue_;
   EventId pending_group_flush_ = kInvalidEventId;
+
+  /// Predeclared read and write granules, rebuilt at every predeclaring
+  /// activation (capacity kept, so the steady state allocates nothing).
+  std::vector<ObjectId> predeclared_reads_;
+  std::vector<ObjectId> predeclared_writes_;
 };
 
 }  // namespace ccsim

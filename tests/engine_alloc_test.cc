@@ -154,6 +154,39 @@ TEST(EngineAllocTest, AuditedBlockingIsAllocationFree) {
   EXPECT_EQ(run.allocs, 0u) << "steady-state commits allocated in the auditor";
 }
 
+// Static locking predeclares each transaction's granules at activation and
+// queues whole transactions; neither may allocate per commit. (The residue,
+// about 0.05 per commit, is mostly granules' reader sets growing to new
+// high-water marks.)
+TEST(EngineAllocTest, StaticLockingInfiniteResourcesBarelyAllocates) {
+  EngineConfig config = PaperPoint(ResourceConfig::Infinite());
+  config.algorithm = "static_locking";
+  const AllocRun run = MeasureSteadyState(config);
+  EXPECT_GE(run.commits, kMeasuredCommits);
+  EXPECT_LT(static_cast<double>(run.allocs) / static_cast<double>(run.commits),
+            0.1)
+      << run.allocs << " allocations over " << run.commits << " commits";
+}
+
+// The optimistic algorithms' full audit scan compares flush claims with the
+// validated write sets by writer identity, in place: it may not build a
+// buffer per scan.
+TEST(EngineAllocTest, AuditedOptimisticBarelyAllocates) {
+  for (const char* algorithm : {"optimistic", "optimistic_forward"}) {
+    EngineConfig config = PaperPoint(ResourceConfig::Infinite());
+    config.algorithm = algorithm;
+    config.audit = true;
+    config.obs.enabled = false;
+    const AllocRun run = MeasureSteadyState(config);
+    EXPECT_GE(run.commits, kMeasuredCommits);
+    EXPECT_GT(run.audit_full_scans, 0) << algorithm;
+    EXPECT_LT(
+        static_cast<double>(run.allocs) / static_cast<double>(run.commits), 0.1)
+        << algorithm << ": " << run.allocs << " allocations over "
+        << run.commits << " commits";
+  }
+}
+
 TEST(EngineAllocTest, CounterSeesEngineAllocations) {
   // The counter must see the engine at all: building a ClosedSystem
   // allocates its tables.
