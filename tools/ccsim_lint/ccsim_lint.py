@@ -40,13 +40,15 @@ Rules (docs/VERIFICATION.md):
                    nobody can interpret. (Dynamically composed names —
                    "<pool>_busy" etc. — are documented as families in the
                    same catalog but cannot be checked mechanically.)
-  R8 dense-state   No std::unordered_map / std::unordered_set (use or
-                   include) in the cc hot path (src/cc, src/core) or the
-                   auditor (src/audit), which runs at every transition:
+  R8 dense-state   No std::unordered_map / std::unordered_set / std::list
+                   (use or include) in the cc hot path (src/cc, src/core) or
+                   the auditor (src/audit), which runs at every transition:
                    per-granule and per-transaction state lives in the dense
                    containers of util/dense_table.h, which are both faster
                    (direct indexing, slot reuse) and deterministic to iterate
-                   (docs/PERFORMANCE.md "Dense CC state"). Allowlisted:
+                   (docs/PERFORMANCE.md "Dense CC state"), and lists are
+                   vectors or util/list_pool.h's pooled intrusive lists (a
+                   std::list allocates a node per element). Allowlisted:
                    core/history.{h,cc} — the offline serialization-graph
                    checker runs between batches, not per decision. (The
                    offline verifier in verify/ and the observability layer
@@ -118,7 +120,8 @@ R6_ALLOWLIST = {
 
 R8_HOT_DIRS = ("src/cc", "src/core", "src/audit")
 R8_TOKEN = re.compile(
-    r"\bstd::unordered_(?:map|set)\b|#include\s*<unordered_(?:map|set)>"
+    r"\bstd::(?:unordered_map|unordered_set|list)\b"
+    r"|#include\s*<(?:unordered_map|unordered_set|list)>"
 )
 # Offline checkers that run between batches, never per cc decision.
 R8_EXEMPT_FILES = {"src/core/history.h", "src/core/history.cc"}
@@ -404,9 +407,10 @@ class Linter:
                     rel,
                     line_of(code, match.start()),
                     "R8",
-                    "unordered_map/unordered_set in the cc hot path; use the "
-                    "dense containers of util/dense_table.h (GranuleTable, "
-                    "TxnSlotMap, SmallIdSet) — faster and deterministic to "
+                    "unordered_map/unordered_set/list in the cc hot path; use "
+                    "the dense containers of util/dense_table.h (GranuleTable, "
+                    "TxnSlotMap, SmallIdSet), a vector or util/list_pool.h — "
+                    "faster, allocation-free once warm and deterministic to "
                     'iterate (docs/PERFORMANCE.md "Dense CC state")',
                 )
 
@@ -486,6 +490,12 @@ SELF_TEST_SNIPPETS = {
         "// std::unordered_map in a comment must not fire\n"
     ),
     "R8_exempt": "#include <unordered_set>\nstd::unordered_map<int, int> m_;\n",
+    "R8_list": (
+        "#include <list>\n"
+        "std::list<TxnId> waiters_;\n"
+        "// std::list in a comment must not fire\n"
+        "std::initializer_list<int> ok_; ListPool<int> pool_;\n"
+    ),
     "R9": (
         "std::string EscapeJson(const std::string& s);\n"
         'void F(std::string* out, char c) { *out += Printf("\\\\u%04x", c); }\n'
@@ -549,6 +559,7 @@ def self_test(tmp_root):
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
+        (root / "src/core/bad_list.h").write_text(SELF_TEST_SNIPPETS["R8_list"])
         # R9: an escape helper and a \\u%04x format fire outside
         # util/json.cc; the same text in util/json.cc stays silent.
         (root / "src/sim/bad_escape.cc").write_text(SELF_TEST_SNIPPETS["R9"])
@@ -579,8 +590,11 @@ def self_test(tmp_root):
         expect("[R7]", 3)  # undocumented_counter + both "dup" sites.
         expect("undocumented_counter", 1)
         expect("documented_gauge", 0)  # Catalogued: silent.
-        expect("[R8]", 4)  # Include + usage in cc/ and audit/; no comments.
+        expect("[R8]", 6)  # Include + usage in cc/, audit/ and core/.
         expect("audit/bad_hash_map.cc", 2)
+        expect("bad_list.h:1", 1)  # #include <list>.
+        expect("bad_list.h:2", 1)  # std::list.
+        expect("bad_list.h", 2)  # Not the comment, initializer_list, ListPool.
         expect("history.cc", 0)  # Offline checker: allowlisted.
         expect("[R9]", 2)  # The helper + the format; not the comment.
         expect("bad_escape.cc:1", 1)
