@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cc/types.h"
+#include "util/check.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -27,11 +28,29 @@ class FlushClaims {
   void Reserve(size_t num_objects) { holders_.Reserve(num_objects); }
 
   /// `writer` validated and starts flushing `objects`.
-  void Claim(TxnId writer, const std::vector<ObjectId>& objects);
+  void Claim(TxnId writer, const std::vector<ObjectId>& objects) {
+    for (ObjectId obj : objects) {
+      Entry& entry = holders_.Touch(obj);
+      CCSIM_CHECK_EQ(entry.holder, kInvalidTxn)
+          << "object " << obj << " is already being flushed by txn "
+          << entry.holder << "; txn " << writer << " cannot claim it";
+      entry.holder = writer;
+    }
+  }
 
-  /// `writer`'s flush of `objects` is over (commit, or an abort after
+  /// `writer`'s flush of `obj` is over (commit, or an abort after
   /// validation).
-  void Release(TxnId writer, const std::vector<ObjectId>& objects);
+  void Release(TxnId writer, ObjectId obj) {
+    Entry* entry = holders_.Find(obj);
+    CCSIM_CHECK(entry != nullptr && entry->holder == writer)
+        << "txn " << writer << " releases an unclaimed flush of object " << obj;
+    entry->holder = kInvalidTxn;
+  }
+
+  /// Release of each of `objects`.
+  void Release(TxnId writer, const std::vector<ObjectId>& objects) {
+    for (ObjectId obj : objects) Release(writer, obj);
+  }
 
   /// The writer flushing `obj`, or kInvalidTxn.
   TxnId Holder(ObjectId obj) const {

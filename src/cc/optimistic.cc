@@ -74,8 +74,8 @@ void OptimisticCC::Commit(TxnId txn) {
   SimTime now = callbacks_.now();
   for (ObjectId obj : state->writes) {
     committed_writes_.Touch(obj) = CommittedWrite{now, txn};
+    claims_.Release(txn, obj);
   }
-  claims_.Release(txn, state->writes);
   active_.Erase(txn);
 }
 
