@@ -33,6 +33,12 @@ std::vector<TxnId> DeadlockDetector::FindCycle(
 
 void DeadlockDetector::FindCycle(TxnId start, const SmallIdSet& excluded,
                                  std::vector<TxnId>* cycle) const {
+  cycle->clear();
+  // A cycle through `start` must end on an edge into it; with none, the
+  // walk below could only prove that (header comment).
+  if (excluded.count(start) > 0 || !locks_->BlocksAnyWaiter(start, excluded)) {
+    return;
+  }
   // Iterative DFS over the waits-for relation looking for a path back to
   // `start`. Path state lets us return the cycle members themselves. The
   // path and its blocker lists live in reused scratch, so a search
@@ -51,7 +57,6 @@ void DeadlockDetector::FindCycle(TxnId start, const SmallIdSet& excluded,
     frame.end = blocker_stack_.size();
   };
 
-  cycle->clear();
   visited_.clear();
   visited_.insert(start);
   push(start);

@@ -7,6 +7,15 @@
 // must pass through the newly blocked transaction — so detection searches
 // only cycles through the requester, and the graph is acyclic between
 // detections.
+//
+// Such a cycle also has to come back into the requester, along an edge from
+// some non-excluded waiter that the requester blocks (it holds a lock the
+// waiter conflicts with, or is queued ahead of it). When no such in-edge
+// exists (LockManager::BlocksAnyWaiter is false), no cycle can close, and
+// FindCycle answers "none" without walking the forward graph. Most blocks
+// find no cycle, and many of those have no in-edge, so this check ends most
+// searches; when it passes, the DFS runs unchanged, so the cycle found and
+// the victim are the same as without it.
 #ifndef CCSIM_CC_DEADLOCK_H_
 #define CCSIM_CC_DEADLOCK_H_
 

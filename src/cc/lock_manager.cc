@@ -16,6 +16,10 @@ bool ModeConflicts(LockMode held, LockMode wanted) {
 
 }  // namespace
 
+bool LockManager::HolderBlocks(const Holder& h, const Waiter& w) {
+  return h.txn != w.txn && (w.upgrade || ModeConflicts(h.mode, w.mode));
+}
+
 void LockManager::Reserve(size_t num_objects, size_t num_txns) {
   table_.Reserve(num_objects);
   txns_.Reserve(num_txns);
@@ -252,14 +256,41 @@ void LockManager::AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const {
   CCSIM_CHECK(mine != nullptr);
   // Conflicting holders block us.
   holders_.ForEach(entry->holders, [&](const Holder& h) {
-    if (h.txn == txn) return;
-    if (mine->upgrade || ModeConflicts(h.mode, mine->mode)) {
-      out->push_back(h.txn);
-    }
+    if (HolderBlocks(h, *mine)) out->push_back(h.txn);
   });
   // De-duplicate (a txn could be both holder and earlier waiter on upgrades).
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+bool LockManager::BlocksAnyWaiter(TxnId txn,
+                                  const SmallIdSet& excluded) const {
+  const TxnRec* rec = txns_.Find(txn);
+  if (rec == nullptr) return false;
+  // Holder edges, from the waiters on the granules `txn` holds.
+  for (ObjectId obj : rec->held) {
+    const Entry* entry = table_.Find(obj);
+    CCSIM_CHECK(entry != nullptr);
+    if (entry->queue.empty()) continue;
+    const Holder* mine = FindHolder(*entry, txn);
+    CCSIM_CHECK(mine != nullptr);
+    const Waiter* blocked = waiters_.FindIf(entry->queue, [&](const Waiter& w) {
+      return HolderBlocks(*mine, w) && excluded.count(w.txn) == 0;
+    });
+    if (blocked != nullptr) return true;
+  }
+  if (rec->waiting_on < 0) return false;
+  // Queue edges: every waiter behind `txn` is blocked by it.
+  bool behind = false;
+  const Waiter* blocked = waiters_.FindIf(
+      table_.Find(rec->waiting_on)->queue, [&](const Waiter& w) {
+        if (w.txn == txn) {
+          behind = true;
+          return false;
+        }
+        return behind && excluded.count(w.txn) == 0;
+      });
+  return blocked != nullptr;
 }
 
 void LockManager::AppendHoldersOf(ObjectId obj, std::vector<TxnId>* out) const {
@@ -351,10 +382,8 @@ void LockManager::CheckEntry(Auditor* auditor, ObjectId obj,
   // should have been granted already: its wake-up is lost.
   if (entry.queue.empty()) return;
   const Waiter& front = waiters_.Front(entry.queue);
-  const Holder* in_way = holders_.FindIf(entry.holders, [&](const Holder& h) {
-    return h.txn != front.txn &&
-           (front.upgrade || ModeConflicts(h.mode, front.mode));
-  });
+  const Holder* in_way = holders_.FindIf(
+      entry.holders, [&](const Holder& h) { return HolderBlocks(h, front); });
   if (in_way == nullptr) {
     std::ostringstream detail;
     detail << "waiter on object " << obj

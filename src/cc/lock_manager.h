@@ -106,6 +106,12 @@ class LockManager {
   /// buffers.
   void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
 
+  /// True iff some waiter not in `excluded` would list `txn` in its
+  /// AppendBlockersOf set: `txn` has a waits-for in-edge. Scans the queues
+  /// of the granules `txn` holds (same conflict and upgrade rules) and the
+  /// waiters behind `txn` in its own queue; allocates nothing.
+  bool BlocksAnyWaiter(TxnId txn, const SmallIdSet& excluded) const;
+
   /// Clears `out`, then appends the current holders of `obj` in acquisition
   /// order (none if unlocked). Blame attribution for denied requests, which
   /// leave no queue trace; like AppendBlockersOf, reuses the caller's buffer.
@@ -186,6 +192,10 @@ class LockManager {
       dirty_pos = -1;
     }
   };
+
+  /// True if holder `h` blocks waiter `w` on the same granule: `h` is another
+  /// transaction, and `w` upgrades or its mode conflicts with `h`'s.
+  static bool HolderBlocks(const Holder& h, const Waiter& w);
 
   /// True if a (possibly upgrade) exclusive/shared request by `txn` is
   /// compatible with the current holders of `entry`.

@@ -90,13 +90,14 @@ struct AllocRun {
   int64_t audit_full_scans = 0;
 };
 
-/// Runs `config` for kWarmup, then counts heap allocations over the next
+/// Runs `config` for `warmup`, then counts heap allocations over the next
 /// kMeasuredCommits commits or more.
-AllocRun MeasureSteadyState(const EngineConfig& config) {
+AllocRun MeasureSteadyState(const EngineConfig& config,
+                            SimTime warmup = kWarmup) {
   Simulator sim;
   ClosedSystem system(&sim, config);
   system.Prime();
-  sim.RunUntil(kWarmup);
+  sim.RunUntil(warmup);
   const int64_t commits_before = system.total_commits();
   const int64_t restarts_before = system.total_restarts();
   const int64_t scans_before = system.audit_full_scans();
@@ -127,6 +128,23 @@ TEST(EngineAllocTest, BlockingFiniteResourcesIsAllocationFree) {
   EXPECT_GE(run.commits, kMeasuredCommits);
   EXPECT_EQ(run.allocs, 0u)
       << "steady-state commits allocated on the queued service path";
+}
+
+// The Fig 8 point (mpl 200 on 1 CPU and 2 disks) blocks about twice per
+// commit and runs a deadlock search at every block, so it pins the search
+// path, in-edge check included, at the contention where it does the most.
+// It commits only about 3 times per simulated second, so its 200 lock-table
+// transaction records take about 800 s to grow their held-lock lists to the
+// largest transaction's size; the warm-up covers that.
+TEST(EngineAllocTest, BlockingDeadlockHeavyFiniteIsAllocationFree) {
+  EngineConfig config = PaperPoint(ResourceConfig::Finite(1, 2));
+  config.workload.mpl = 200;
+  const AllocRun run = MeasureSteadyState(config, 1000 * kSecond);
+  EXPECT_GE(run.commits, kMeasuredCommits);
+  EXPECT_GT(run.restarts, run.commits / 2)
+      << "the point should be deadlock-heavy";
+  EXPECT_EQ(run.allocs, 0u)
+      << "steady-state commits allocated on the deadlock search path";
 }
 
 TEST(EngineAllocTest, BlockingFiniteWithLogAndInternalThinkIsAllocationFree) {

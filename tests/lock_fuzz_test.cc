@@ -2,6 +2,8 @@
 // locking table: long random sequences of requests and releases, with
 // invariants checked after every step. Deterministic seeds keep failures
 // reproducible.
+#include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -150,6 +152,156 @@ TEST(DeadlockFuzzTest, ResolutionAlwaysClearsRequesterCycles) {
       }
     }
   }
+}
+
+/// The unpruned deadlock search: a DFS from `start` over BlockersOf
+/// (ascending, minus `excluded`) that returns the path the first time an
+/// edge leads back to `start`. The reference the pruned search must
+/// reproduce member for member.
+std::vector<TxnId> ReferenceFindCycle(const LockManager& lm, TxnId start,
+                                      const SmallIdSet& excluded) {
+  std::vector<TxnId> path;
+  SmallIdSet visited{start};
+  auto visit = [&](auto&& self, TxnId txn) -> bool {
+    path.push_back(txn);
+    for (TxnId next : lm.BlockersOf(txn)) {
+      if (excluded.count(next) > 0) continue;
+      if (next == start) return true;
+      if (visited.insert(next) && self(self, next)) return true;
+    }
+    path.pop_back();
+    return false;
+  };
+  if (!visit(visit, start)) path.clear();
+  return path;
+}
+
+/// Victim choice of the three policies, written out independently.
+TxnId ReferenceVictim(const std::vector<TxnId>& cycle, VictimPolicy policy,
+                      const std::map<TxnId, SimTime>& starts,
+                      const LockManager& lm) {
+  TxnId victim = cycle.front();
+  for (TxnId c : cycle) {
+    const SimTime vs = starts.at(victim), cs = starts.at(c);
+    const size_t vl = lm.NumHeld(victim), cl = lm.NumHeld(c);
+    const bool better =
+        policy == VictimPolicy::kYoungest ? cs > vs || (cs == vs && c > victim)
+        : policy == VictimPolicy::kOldest ? cs < vs || (cs == vs && c < victim)
+                                          : cl < vl || (cl == vl && c > victim);
+    if (better) victim = c;
+  }
+  return victim;
+}
+
+DeadlockResolution ReferenceResolve(const LockManager& lm, TxnId requester,
+                                    const SmallIdSet& doomed,
+                                    VictimPolicy policy,
+                                    const std::map<TxnId, SimTime>& starts) {
+  DeadlockResolution resolution;
+  SmallIdSet excluded = doomed;
+  while (true) {
+    const std::vector<TxnId> cycle =
+        ReferenceFindCycle(lm, requester, excluded);
+    if (cycle.empty()) break;
+    ++resolution.cycles_found;
+    resolution.cycle_lengths.push_back(static_cast<int>(cycle.size()));
+    const TxnId victim = ReferenceVictim(cycle, policy, starts, lm);
+    if (victim == requester) {
+      resolution.requester_is_victim = true;
+      break;
+    }
+    resolution.victims.push_back(victim);
+    excluded.insert(victim);
+  }
+  return resolution;
+}
+
+/// Differential fuzz of the pruned deadlock search: random lock tables (S/X
+/// mixes, upgrades on a small object space, waiters released at random so
+/// cycles both form and persist) and random doomed sets. After each step:
+///  * BlocksAnyWaiter(T, ex) equals "some waiter W outside ex has T in
+///    BlockersOf(W)", for every T;
+///  * FindCycle from every T, and Resolve from the requester, equal the
+///    unpruned reference (cycle members in order, victims, cycle lengths,
+///    requester_is_victim).
+TEST(DeadlockFuzzTest, PrunedSearchMatchesUnprunedReference) {
+  constexpr VictimPolicy kPolicies[] = {
+      VictimPolicy::kYoungest, VictimPolicy::kOldest,
+      VictimPolicy::kFewestLocks};
+  Rng rng(2024);
+  int64_t skipped = 0, searched = 0, cycles = 0, resolutions = 0,
+          upgrades = 0;
+  for (int round = 0; round < 120; ++round) {
+    LockManager lm;
+    const VictimPolicy policy = kPolicies[round % 3];
+    DeadlockDetector detector(&lm, policy);
+    const int txns = static_cast<int>(rng.UniformInt(3, 10));
+    const int objects = static_cast<int>(rng.UniformInt(2, 6));
+    std::map<TxnId, SimTime> starts;
+    for (TxnId t = 1; t <= txns; ++t) starts[t] = rng.UniformInt(0, 4);
+    const VictimContext context{
+        [&starts](TxnId t) { return starts.at(t); },
+        [&lm](TxnId t) { return lm.NumHeld(t); },
+    };
+    const double x_share = 0.1 + 0.6 * rng.NextDouble();
+
+    for (int step = 0; step < 150; ++step) {
+      const TxnId txn = rng.UniformInt(1, txns);
+      if (lm.IsWaiting(txn) ? rng.Bernoulli(0.3) : rng.Bernoulli(0.15)) {
+        lm.ReleaseAll(txn);
+        continue;
+      }
+      if (lm.IsWaiting(txn)) continue;
+      const LockMode mode = rng.Bernoulli(x_share) ? LockMode::kExclusive
+                                                   : LockMode::kShared;
+      const bool waits = lm.Request(txn, rng.UniformInt(1, objects), mode,
+                                    true) == LockRequestOutcome::kWaiting;
+
+      SmallIdSet doomed;
+      for (TxnId t = 1; t <= txns; ++t) {
+        if (rng.Bernoulli(0.15)) doomed.insert(t);
+      }
+      for (TxnId t = 1; t <= txns; ++t) {
+        bool expected_edge = false;
+        for (TxnId w = 1; w <= txns; ++w) {
+          if (doomed.count(w) > 0) continue;
+          const std::vector<TxnId> blockers = lm.BlockersOf(w);
+          if (std::find(blockers.begin(), blockers.end(), t) !=
+              blockers.end()) {
+            expected_edge = true;
+          }
+        }
+        ASSERT_EQ(lm.BlocksAnyWaiter(t, doomed), expected_edge)
+            << "round " << round << " step " << step << " txn " << t;
+        const std::vector<TxnId> expected =
+            ReferenceFindCycle(lm, t, doomed);
+        ASSERT_EQ(detector.FindCycle(t, doomed), expected)
+            << "round " << round << " step " << step << " txn " << t;
+        if (lm.IsWaiting(t) && doomed.count(t) == 0) {
+          ++(expected_edge ? searched : skipped);
+        }
+        if (!expected.empty()) ++cycles;
+      }
+      if (!waits) continue;
+      const DeadlockResolution expected =
+          ReferenceResolve(lm, txn, doomed, policy, starts);
+      const DeadlockResolution actual = detector.Resolve(txn, doomed, context);
+      EXPECT_EQ(actual.requester_is_victim, expected.requester_is_victim);
+      EXPECT_EQ(actual.victims, expected.victims);
+      EXPECT_EQ(actual.cycles_found, expected.cycles_found);
+      EXPECT_EQ(actual.cycle_lengths, expected.cycle_lengths)
+          << "round " << round << " step " << step;
+      if (expected.cycles_found > 0) ++resolutions;
+    }
+    upgrades += lm.stats().upgrades_requested;
+  }
+  // The sweep must exercise upgrades, both sides of the in-edge check, and
+  // cycles.
+  EXPECT_GT(upgrades, 100);
+  EXPECT_GT(skipped, 100);
+  EXPECT_GT(searched, 100);
+  EXPECT_GT(cycles, 100);
+  EXPECT_GT(resolutions, 20);
 }
 
 }  // namespace

@@ -274,6 +274,81 @@ TEST(LockManagerTest, TwoUpgradersQueueFifo) {
   EXPECT_TRUE(lm.HoldsAtLeast(kT1, kA, LockMode::kExclusive));
 }
 
+// BlocksAnyWaiter(T, ex) answers "does some waiter outside `ex` list T among
+// its blockers": the waits-for in-edge test that ends most deadlock searches.
+
+TEST(LockManagerTest, BlocksAnyWaiterSharedHolderWithSharedWaitersBlocksNoOne) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kShared, true);
+  lm.Request(kT2, kA, LockMode::kExclusive, true);  // Waits on T1.
+  lm.Request(kT3, kA, LockMode::kShared, true);     // Waits behind T2.
+  lm.Request(kT4, kB, LockMode::kShared, true);
+  // T4's granule has no waiters. On A, the X waiter T2 conflicts with T1's S
+  // lock; the S waiter T3 does not (it waits on T2 alone), so once T2 is
+  // excluded T1 blocks no one.
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT4, {}));
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {}));
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT1, {kT2}));
+}
+
+TEST(LockManagerTest, BlocksAnyWaiterExclusiveHolderBlocksEveryWaiter) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kExclusive, true);
+  lm.Request(kT2, kA, LockMode::kShared, true);
+  lm.Request(kT3, kA, LockMode::kShared, true);
+  for (TxnId waiter : {kT2, kT3}) {
+    const auto blockers = lm.BlockersOf(waiter);
+    EXPECT_NE(std::find(blockers.begin(), blockers.end(), kT1), blockers.end());
+  }
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {}));
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {kT2}));
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {kT3}));
+}
+
+TEST(LockManagerTest, BlocksAnyWaiterSharedCoHolderBlocksUpgrader) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kShared, true);
+  lm.Request(kT2, kA, LockMode::kShared, true);
+  lm.Request(kT1, kA, LockMode::kExclusive, true);  // Upgrade waits on T2.
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT2, {}));
+  // The upgrader is the only waiter, and nobody waits on it.
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT1, {}));
+}
+
+TEST(LockManagerTest, BlocksAnyWaiterUpgraderAheadBlocksOrdinaryWaiters) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kShared, true);
+  lm.Request(kT2, kA, LockMode::kShared, true);
+  lm.Request(kT3, kA, LockMode::kShared, true);
+  lm.Request(kT4, kA, LockMode::kExclusive, true);  // Waits on T1–T3.
+  lm.Request(kT1, kA, LockMode::kExclusive, true);  // Upgrade jumps ahead of T4.
+  // T4 waits behind the upgrader T1 (queue edge) and conflicts with its S
+  // lock (holder edge); excluding T4 leaves no waiter behind T1.
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {}));
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT1, {kT4}));
+}
+
+TEST(LockManagerTest, BlocksAnyWaiterTailWaiterBlocksNobodyInItsQueue) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kExclusive, true);
+  lm.Request(kT2, kA, LockMode::kExclusive, true);
+  lm.Request(kT3, kA, LockMode::kShared, true);
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT2, {}));  // T3 is behind it.
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT3, {}));
+}
+
+TEST(LockManagerTest, BlocksAnyWaiterIgnoresExcludedWaiters) {
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kExclusive, true);
+  lm.Request(kT2, kA, LockMode::kShared, true);
+  lm.Request(kT1, kB, LockMode::kShared, true);
+  lm.Request(kT3, kB, LockMode::kExclusive, true);
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {kT2}));
+  EXPECT_TRUE(lm.BlocksAnyWaiter(kT1, {kT3}));
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT1, {kT2, kT3}));
+  EXPECT_FALSE(lm.BlocksAnyWaiter(kT4, {}));  // Unknown transaction.
+}
+
 TEST(LockManagerTest, StatsCountersTrack) {
   LockManager lm;
   lm.Request(kT1, kA, LockMode::kShared, true);      // immediate grant
